@@ -2,9 +2,16 @@
 
 Internal plumbing for :mod:`pbts.sigcrypto`: the Fq/Fq2/Fq6/Fq12 tower, the
 two source groups G1 (over Fq) and G2 (on the sextic twist over Fq2), an
-optimal-ate multi-pairing, deterministic try-and-increment hashing to G2, and
-compressed point serialization (48-byte G1 / 96-byte G2, flag bits in the top
-three bits of the first byte).
+optimal-ate multi-pairing, deterministic hashing to G2, and compressed point
+serialization (48-byte G1 / 96-byte G2, flag bits in the top three bits of the
+first byte).
+
+Hashing to G2 is split in two, as RFC 9380 splits it: ``map_to_curve`` maps a
+message to a point on the twist by try-and-increment, and
+``g2_clear_cofactor`` moves that point into the r-order subgroup.
+``hash_to_g2`` is the composition and the only memoised entry point.  Because
+clearing is a group homomorphism, a verifier may sum one signer's mapped
+messages and clear the sum once (see ``sigcrypto.aggregate_verify``).
 
 Performance notes, since this runs on CPython:
 
@@ -18,6 +25,8 @@ Performance notes, since this runs on CPython:
 * the final exponentiation computes e(P,Q)^(3*lambda) via the
   Hayashida-Hayasaka-Teruya decomposition; a fixed cube of the ate pairing is
   still a bilinear non-degenerate pairing because gcd(3, r) = 1;
+* multiplication by |z| (cofactor clearing, the G2 subgroup check) runs a
+  fixed chain of 63 doublings and 5 additions in Jacobian coordinates;
 * endomorphism constants (G1 cube-root map, G2 untwist-Frobenius-twist) are
   derived algebraically at import and sanity-checked against scalar
   multiplication on the generators, so there are no hand-copied magic tables
@@ -58,6 +67,7 @@ P = mpz(0x1A0111EA397FE69A4B1BA7B6434BACD764774B84F38512BF6730D2A0F6B0F6241EABFF
 R = mpz(0x73EDA753299D7D483339D80809A1D80553BDA402FFFE5BFEFFFFFFFF00000001)
 # the BLS parameter z is negative; X = |z|
 X = mpz(0xD201000000010000)
+_X_BITS = [int(b) for b in bin(X)[3:]]  # skip the leading 1: 63 bits, 5 set
 B1 = mpz(4)  # E:  y^2 = x^3 + 4
 _HALF_P = (P - 1) >> 1
 _INV2 = _inv(mpz(2), P)
@@ -183,13 +193,12 @@ def fq2_sqrt(a):
     s = fq_sqrt(n)
     if s is None:
         return None
-    x0 = fq_sqrt((a0 + s) * _INV2 % P)
-    if x0 is None:
-        x0 = fq_sqrt((a0 - s) * _INV2 % P)
-        if x0 is None:
-            return None
-    x1 = a1 * _inv(x0 << 1, P) % P
-    cand = (x0, x1)
+    t = (a0 + s) * _INV2 % P
+    c = powmod(t, (P + 1) >> 2, P)
+    if c * c % P == t:
+        cand = (c, a1 * _inv(c << 1, P) % P)
+    else:  # c^2 = -t, so (a0 - s)/2 = -a1^2/(4t) has the root a1/(2c)
+        cand = (a1 * _inv(c << 1, P) % P, c)
     if fq2_sq(cand) != (a0 % P, a1 % P):
         return None
     return cand
@@ -444,14 +453,6 @@ def g1_mul(pt, k):
     return _g1_jaff(acc)
 
 
-def g1_add(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    return _g1_jaff(_g1_jadd((p1[0], p1[1], _ONE), (p2[0], p2[1], _ONE)))
-
-
 # fixed-base table for the G1 generator (4-bit windows), used by keygen
 def _build_g1_gen_table():
     windows = []
@@ -603,6 +604,24 @@ def _g2_jaff(pt):
     return (fq2_mul(x, zi2), fq2_mul(y, fq2_mul(zi2, zi)))
 
 
+def _g2_jneg(pt):
+    return (pt[0], fq2_neg(pt[1]), pt[2])
+
+
+def _g2_jmul_x(pt):
+    """[X]pt for a Jacobian pt along the fixed bits of |z|.
+
+    |z| has Hamming weight 6, so this is 63 doublings and 5 additions, with
+    no wNAF table and no inversion.
+    """
+    acc = pt
+    for bit in _X_BITS:
+        acc = _g2_jdbl(acc)
+        if bit:
+            acc = _g2_jadd(acc, pt)
+    return acc
+
+
 def g2_mul(pt, k):
     if pt is None or k == 0:
         return None
@@ -642,11 +661,10 @@ _PSI_CX = fq2_inv(fq2_pow(XI, (P - 1) // 3))
 _PSI_CY = fq2_inv(fq2_pow(XI, (P - 1) // 2))
 
 
-def g2_psi(pt):
-    if pt is None:
-        return None
-    x, y = pt
-    return (fq2_mul(_PSI_CX, fq2_conj(x)), fq2_mul(_PSI_CY, fq2_conj(y)))
+def _g2_jpsi(pt):
+    # conjugation is a field automorphism, so psi maps Z to conj(Z)
+    x, y, z = pt
+    return (fq2_mul(_PSI_CX, fq2_conj(x)), fq2_mul(_PSI_CY, fq2_conj(y)), fq2_conj(z))
 
 
 # G1 cube-root endomorphism phi(x, y) = (beta * x, y) acts as [lambda] on G1
@@ -678,7 +696,7 @@ def _check_psi():
     # psi should act as [z] (z negative) on the r-order subgroup
     q = G2_GEN
     want = g2_neg(g2_mul(q, X))
-    return g2_psi(q) == want
+    return _g2_jaff(_g2_jpsi((q[0], q[1], FQ2_ONE))) == want
 
 
 if not _check_psi():  # pragma: no cover - import-time consistency gate
@@ -686,29 +704,37 @@ if not _check_psi():  # pragma: no cover - import-time consistency gate
 
 
 def g2_in_subgroup(pt):
+    """psi(P) == [z]P = -[|z|]P, compared projectively (no inversion)."""
     if pt is None:
         return True
     if not g2_is_on_curve(pt):
         return False
-    return g2_psi(pt) == g2_neg(g2_mul(pt, X))
+    p = (pt[0], pt[1], FQ2_ONE)
+    x, y, z = _g2_jmul_x(p)
+    if z == FQ2_ZERO:
+        return False
+    px, py, _ = _g2_jpsi(p)
+    zz = fq2_sq(z)
+    return fq2_mul(px, zz) == x and fq2_mul(py, fq2_mul(zz, z)) == fq2_neg(y)
 
 
 def g2_clear_cofactor(pt):
     """Map a point on the twist into the r-order subgroup.
 
-    Budroni-Pintore style:  [z^2 - z - 1]P + [z - 1]psi(P) + psi(psi(2P)),
-    computed with three z-multiplications (z is negative: [z]P = -[|z|]P).
+    Budroni-Pintore:  [z^2 - z - 1]P + [z - 1]psi(P) + psi(psi(2P)), in the
+    order of RFC 9380 (appendix G.3): two [z] chains in Jacobian coordinates
+    and one inversion at the end (z is negative: [z]P = -[|z|]P).  Clearing
+    is a group homomorphism, so clear(P + Q) == clear(P) + clear(Q).
     """
     if pt is None:
         return None
-    zp = g2_neg(g2_mul(pt, X))  # [z]P
-    z2p = g2_neg(g2_mul(zp, X))  # [z^2]P
-    part1 = g2_add(g2_add(z2p, g2_neg(zp)), g2_neg(pt))  # [z^2 - z - 1]P
-    psip = g2_psi(pt)
-    zpsip = g2_neg(g2_mul(psip, X))
-    part2 = g2_add(zpsip, g2_neg(psip))  # [z - 1]psi(P)
-    part3 = g2_psi(g2_psi(g2_add(pt, pt)))
-    return g2_add(g2_add(part1, part2), part3)
+    p = (pt[0], pt[1], FQ2_ONE)
+    t1 = _g2_jneg(_g2_jmul_x(p))  # [z]P
+    t2 = _g2_jpsi(p)  # psi(P)
+    t3 = _g2_jadd(_g2_jpsi(_g2_jpsi(_g2_jdbl(p))), _g2_jneg(t2))  # psi^2(2P) - psi(P)
+    t2 = _g2_jneg(_g2_jmul_x(_g2_jadd(t1, t2)))  # [z^2]P + [z]psi(P)
+    t3 = _g2_jadd(_g2_jadd(t3, t2), _g2_jneg(t1))
+    return _g2_jaff(_g2_jadd(t3, _g2_jneg(p)))
 
 
 def _check_clear_cofactor():
@@ -731,8 +757,6 @@ if not _check_clear_cofactor():  # pragma: no cover - import-time gate
 
 # ---------------------------------------------------------------------------
 # pairing
-
-_X_BITS = [int(b) for b in bin(X)[3:]]  # skip the leading 1
 
 
 def _miller_loop(pairs):
@@ -772,26 +796,29 @@ def _miller_loop(pairs):
     return fq12_conj(f)  # the curve parameter z is negative
 
 
-def _fp4_sq(a, b):
-    t0 = fq2_sq(a)
-    t1 = fq2_sq(b)
-    return (fq2_add(t0, fq2_mul_xi(t1)), fq2_sub(fq2_sub(fq2_sq(fq2_add(a, b)), t0), t1))
+def _fp4_sq(a0, a1, b0, b1):
+    """(a + b*w)^2 over Fq4 = Fq2[w]/(w^2 - xi), unreduced: a^2 + xi*b^2, 2ab."""
+    t00, t01 = (a0 + a1) * (a0 - a1), 2 * a0 * a1  # a^2
+    t10, t11 = (b0 + b1) * (b0 - b1), 2 * b0 * b1  # b^2
+    s0, s1 = a0 + b0, a1 + b1
+    return (t00 + t10 - t11, t01 + t10 + t11,
+            (s0 + s1) * (s0 - s1) - t00 - t10, 2 * s0 * s1 - t01 - t11)
 
 
 def fq12_cyc_sq(f):
-    """Granger-Scott squaring, valid only in the cyclotomic subgroup."""
+    """Granger-Scott squaring, valid only in the cyclotomic subgroup (inlined:
+    it is most of the final exponentiation)."""
     (z0, z4, z3), (z2, z1, z5) = f
-    t0, t1 = _fp4_sq(z0, z1)
-    z0 = fq2_add(fq2_add(fq2_sub(t0, z0), fq2_sub(t0, z0)), t0)
-    z1 = fq2_add(fq2_add(fq2_add(t1, z1), fq2_add(t1, z1)), t1)
-    t0, t1 = _fp4_sq(z2, z3)
-    t2, t3 = _fp4_sq(z4, z5)
-    z4 = fq2_add(fq2_add(fq2_sub(t0, z4), fq2_sub(t0, z4)), t0)
-    z5 = fq2_add(fq2_add(fq2_add(t1, z5), fq2_add(t1, z5)), t1)
-    tmp = fq2_mul_xi(t3)
-    z2 = fq2_add(fq2_add(fq2_add(tmp, z2), fq2_add(tmp, z2)), tmp)
-    z3 = fq2_add(fq2_add(fq2_sub(t2, z3), fq2_sub(t2, z3)), t2)
-    return ((z0, z4, z3), (z2, z1, z5))
+    a0, a1, b0, b1 = _fp4_sq(*z0, *z1)
+    n0 = ((3 * a0 - 2 * z0[0]) % P, (3 * a1 - 2 * z0[1]) % P)
+    n1 = ((3 * b0 + 2 * z1[0]) % P, (3 * b1 + 2 * z1[1]) % P)
+    a0, a1, b0, b1 = _fp4_sq(*z2, *z3)
+    c0, c1, d0, d1 = _fp4_sq(*z4, *z5)
+    n4 = ((3 * a0 - 2 * z4[0]) % P, (3 * a1 - 2 * z4[1]) % P)
+    n5 = ((3 * b0 + 2 * z5[0]) % P, (3 * b1 + 2 * z5[1]) % P)
+    n2 = ((3 * (d0 - d1) + 2 * z2[0]) % P, (3 * (d0 + d1) + 2 * z2[1]) % P)  # xi * d
+    n3 = ((3 * c0 - 2 * z3[0]) % P, (3 * c1 - 2 * z3[1]) % P)
+    return ((n0, n4, n3), (n2, n1, n5))
 
 
 def _cyc_sq_is_consistent():
@@ -802,15 +829,15 @@ def _cyc_sq_is_consistent():
     return fq12_cyc_sq(c) == fq12_sq(c)
 
 
-_USE_CYC_SQ = _cyc_sq_is_consistent()
+if not _cyc_sq_is_consistent():  # pragma: no cover - import-time gate
+    raise AssertionError("cyclotomic squaring disagrees with generic squaring")
 
 
 def _cyc_exp_x(g):
     """g^X in the cyclotomic subgroup (X positive; caller handles z's sign)."""
-    sq = fq12_cyc_sq if _USE_CYC_SQ else fq12_sq
     result = g
     for bit in _X_BITS:
-        result = sq(result)
+        result = fq12_cyc_sq(result)
         if bit:
             result = fq12_mul(result, g)
     return result
@@ -834,13 +861,6 @@ def final_exponentiation(f):
     return fq12_mul(t3, fq12_mul(fq12_sq(m), m))
 
 
-def pairing(p1, q2):
-    """e(P, Q)^3 for P in G1, Q in G2 (twist coords), either may be None."""
-    if p1 is None or q2 is None:
-        return FQ12_ONE
-    return final_exponentiation(_miller_loop([(p1, q2)]))
-
-
 def multi_pairing_is_one(pairs):
     """True iff the product of e(P_i, Q_i) over all pairs equals 1.
 
@@ -858,8 +878,12 @@ def multi_pairing_is_one(pairs):
 _HASH_DST = b"pbts/bls12381-g2/sha256/tai/v1"
 
 
-@lru_cache(maxsize=8192)
-def hash_to_g2(msg: bytes):
+def map_to_curve(msg: bytes):
+    """Try-and-increment map of msg to a twist point, not yet in G2.
+
+    Not memoised: aggregate verification sums these per signer and clears
+    the cofactor once per sum.
+    """
     seed = hashlib.sha256(_HASH_DST + msg).digest()
     for ctr in range(256):
         base = seed + bytes([ctr])
@@ -872,8 +896,14 @@ def hash_to_g2(msg: bytes):
         if y is not None:
             if fq2_is_larger(y):
                 y = fq2_neg(y)
-            return g2_clear_cofactor((x, y))
+            return (x, y)
     raise AssertionError("try-and-increment failed after 256 tries")
+
+
+@lru_cache(maxsize=8192)
+def hash_to_g2(msg: bytes):
+    """H(msg) in G2: ``g2_clear_cofactor(map_to_curve(msg))``, memoised."""
+    return g2_clear_cofactor(map_to_curve(msg))
 
 
 # ---------------------------------------------------------------------------
@@ -955,28 +985,3 @@ def g2_from_bytes(data: bytes):
         raise ValueError("G2 point not in the prime-order subgroup")
     return pt
 
-
-if __name__ == "__main__":  # quick self-benchmark
-    import time
-
-    def bench(label, fn, n=20):
-        t0 = time.perf_counter()
-        for _ in range(n):
-            fn()
-        dt = (time.perf_counter() - t0) / n
-        print(f"{label:28s} {dt * 1e3:8.2f} ms")
-
-    sk = 0x1234567890ABCDEF1234567890ABCDEF
-    pk = g1_mul_gen(sk)
-    h = hash_to_g2(b"hello world")
-    sig = g2_mul(h, sk)
-    ok = multi_pairing_is_one([(g1_neg(G1_GEN), sig), (pk, h)])
-    print("verify ok:", ok)
-    bench("hash_to_g2 (cold)", lambda: hash_to_g2.__wrapped__(b"x" * 32))
-    bench("g2_mul (255-bit)", lambda: g2_mul(h, R - 2))
-    bench("g1_mul_gen", lambda: g1_mul_gen(R - 2), 100)
-    bench("miller x1", lambda: _miller_loop([(pk, h)]))
-    bench("miller x11", lambda: _miller_loop([(pk, h)] * 11), 5)
-    bench("final_exp", lambda: final_exponentiation(_miller_loop([(pk, h)])))
-    bench("g2_in_subgroup", lambda: g2_in_subgroup(sig))
-    bench("g1_in_subgroup", lambda: g1_in_subgroup(pk))

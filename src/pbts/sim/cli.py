@@ -90,6 +90,8 @@ def cmd_games(args) -> int:
     else:
         for r in results:
             print(r.line())
+            if not r.passed:
+                print(f"  witness: {r.details.get('witness')}")
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -157,7 +157,9 @@ class TestGames:
             GameResult("receipt-reuse", 10, 2, {"witness": "x"}, 0.1),
         ])
         assert cli.main(["games"]) == 1
-        assert "[FAIL]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "[FAIL]" in out
+        assert "  witness: x" in out
 
     def test_json_report(self, capsys, monkeypatch):
         self._stub(monkeypatch, [GameResult("soundness", 5, 0, {}, 1.0)])

@@ -1,8 +1,11 @@
 """Signature schemes and canonical framing."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pbts import bls12381 as bls
 from pbts import sigcrypto as sc
 
 # Deterministic outputs frozen from first implementation; any change to
@@ -161,6 +164,152 @@ class TestAggregation:
             sc.aggregate([])
         with pytest.raises(Exception):
             sc.aggregate([b"\xff" * 96])
+
+
+# three signers for the grouped-verification tests; each signs many messages
+SIGNERS = [sc.keygen(bytes([90 + i]) * 32) for i in range(3)]
+GROUP_MSGS = [b"grp-%d" % i for i in range(4)]
+
+
+@lru_cache(maxsize=None)
+def _sig(signer: int, msg: bytes) -> bytes:
+    return sc.sign(SIGNERS[signer].sk, msg)
+
+
+def _signed(assignments):
+    """[(signer index, message)] -> (claimed pairs, aggregate over them)."""
+    pairs = [(SIGNERS[i].pk, m) for i, m in assignments]
+    return pairs, sc.aggregate([_sig(i, m) for i, m in assignments])
+
+
+def _reference_verify(pairs, agg):
+    """The per-message pairing product: one hash_to_g2 and one pair per receipt."""
+    if agg.count != len(pairs):
+        return False
+    args = [(bls.g1_neg(bls.G1_GEN), bls.g2_from_bytes(agg.data))]
+    args += [(bls.g1_from_bytes(pk), bls.hash_to_g2(m)) for pk, m in pairs]
+    return bls.multi_pairing_is_one(args)
+
+
+class TestGroupedAggregateVerify:
+    """aggregate_verify sums each signer's messages and pairs once per signer;
+    every way of moving a message between or within signers must still fail."""
+
+    # signer 0 has three messages, signer 1 two, interleaved
+    ASSIGN = [(0, b"g-0"), (1, b"g-1"), (0, b"g-2"), (1, b"g-3"), (0, b"g-4")]
+
+    @pytest.fixture(scope="class")
+    def signed(self):
+        return _signed(self.ASSIGN)
+
+    def test_accepts(self, signed):
+        pairs, agg = signed
+        assert sc.aggregate_verify(pairs, agg)
+        assert _reference_verify(pairs, agg)
+
+    def test_interleaved_order_gives_same_result(self, signed):
+        pairs, agg = signed
+        by_signer = sorted(pairs, key=lambda pair: pair[0])
+        assert by_signer != pairs
+        assert sc.aggregate_verify(by_signer, agg)
+        assert sc.aggregate_verify(pairs[::-1], agg)
+
+    def test_tampered_message(self, signed):
+        pairs, agg = signed
+        bad = list(pairs)
+        bad[2] = (bad[2][0], b"g-2!")
+        assert not sc.aggregate_verify(bad, agg)
+
+    def test_wrong_signer(self, signed):
+        pairs, agg = signed
+        bad = list(pairs)
+        bad[1] = (SIGNERS[2].pk, bad[1][1])
+        assert not sc.aggregate_verify(bad, agg)
+
+    def test_messages_swapped_between_signers(self, signed):
+        # each signer keeps its message count; only the per-signer sums differ
+        pairs, agg = signed
+        bad = list(pairs)
+        bad[0] = (pairs[0][0], pairs[1][1])
+        bad[1] = (pairs[1][0], pairs[0][1])
+        assert not sc.aggregate_verify(bad, agg)
+
+    def test_message_moved_to_other_signer(self, signed):
+        pairs, agg = signed
+        bad = list(pairs)
+        bad[4] = (SIGNERS[1].pk, pairs[4][1])
+        assert not sc.aggregate_verify(bad, agg)
+
+    def test_infinity_rejected(self, signed):
+        pairs, agg = signed
+        inf_sig = sc.AggregateSignature(bls.g2_to_bytes(None), agg.count)
+        assert not sc.aggregate_verify(pairs, inf_sig)
+        bad = list(pairs)
+        bad[0] = (bls.g1_to_bytes(None), pairs[0][1])
+        assert not sc.aggregate_verify(bad, agg)
+        # an extra identity-key pair would add e(O, H(m)) = 1 to the product
+        padded = pairs + [(bls.g1_to_bytes(None), b"free")]
+        assert not sc.aggregate_verify(padded, sc.AggregateSignature(agg.data, agg.count + 1))
+
+    def test_count_off_by_one(self, signed):
+        pairs, agg = signed
+        for n in (agg.count - 1, agg.count + 1):
+            assert not sc.aggregate_verify(pairs, sc.AggregateSignature(agg.data, n))
+        assert not sc.aggregate_verify(pairs[:-1], agg)
+        assert not sc.aggregate_verify(pairs + pairs[:1], agg)
+
+    @given(st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_agrees_with_per_message_product(self, data):
+        cell = st.tuples(st.integers(0, len(SIGNERS) - 1), st.sampled_from(GROUP_MSGS))
+        signed = data.draw(st.lists(cell, min_size=1, max_size=5))
+        claimed = data.draw(st.one_of(st.permutations(signed),
+                                      st.lists(cell, min_size=1, max_size=5)))
+        _, agg = _signed(signed)
+        agg = sc.AggregateSignature(agg.data, len(claimed))
+        pairs = [(SIGNERS[i].pk, m) for i, m in claimed]
+        got = sc.aggregate_verify(pairs, agg)
+        assert got == _reference_verify(pairs, agg)
+        if sorted(claimed) == sorted(signed):
+            assert got
+
+
+class TestHashToCurveSplit:
+    def test_hash_is_clear_of_map(self):
+        for m in (b"split-a", b"split-b", b""):
+            assert bls.hash_to_g2(m) == bls.g2_clear_cofactor(bls.map_to_curve(m))
+
+    def test_clearing_is_a_homomorphism(self):
+        a, b = bls.map_to_curve(b"split-a"), bls.map_to_curve(b"split-b")
+        assert bls.g2_clear_cofactor(bls.g2_add(a, b)) == bls.g2_add(
+            bls.hash_to_g2(b"split-a"), bls.hash_to_g2(b"split-b"))
+
+    def test_mapped_point_is_on_twist_outside_g2(self):
+        pt = bls.map_to_curve(b"split-a")
+        assert bls.g2_is_on_curve(pt)
+        assert not bls.g2_in_subgroup(pt)
+        assert bls.g2_mul(pt, bls.R) is not None
+
+    def test_fixed_chain_matches_generic_mul(self):
+        # subgroup points and non-subgroup twist points alike
+        for pt in (bls.G2_GEN, bls.hash_to_g2(b"split-a"),
+                   bls.map_to_curve(b"split-a"), bls.map_to_curve(b"split-b")):
+            chained = bls._g2_jaff(bls._g2_jmul_x((pt[0], pt[1], bls.FQ2_ONE)))
+            assert chained == bls.g2_mul(pt, bls.X)
+
+    def test_cyclotomic_squaring_matches_generic(self):
+        # easy part of the final exponentiation lands in the cyclotomic subgroup
+        f = bls._miller_loop([(bls.g1_mul_gen(12345), bls.hash_to_g2(b"split-a"))])
+        f = bls.fq12_mul(bls.fq12_conj(f), bls.fq12_inv(f))
+        c = x = bls.fq12_mul(bls.fq12_frob2(f), f)
+        for _ in range(8):
+            assert bls.fq12_cyc_sq(x) == bls.fq12_sq(x)
+            x = bls.fq12_mul(bls.fq12_cyc_sq(x), c)
+
+    def test_subgroup_check_matches_group_order(self):
+        for pt in (bls.hash_to_g2(b"split-a"), bls.map_to_curve(b"split-a"),
+                   bls.g2_add(bls.hash_to_g2(b"split-b"), bls.map_to_curve(b"split-b"))):
+            assert bls.g2_in_subgroup(pt) == (bls.g2_mul(pt, bls.R) is None)
 
 
 class TestSessionScheme:
