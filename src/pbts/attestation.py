@@ -21,7 +21,7 @@ Attestation policies trade signature count against verification cost:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import sigcrypto as sc
 
@@ -87,6 +87,11 @@ def make_torrent(name: str, piece_hashes, piece_size: int, length: int | None = 
     )
 
 
+def piece_matches(meta: TorrentMeta, index: int, piece_hash: bytes) -> bool:
+    """The torrent has a piece at *index* and its digest is *piece_hash*."""
+    return 0 <= index < meta.num_pieces and piece_hash == meta.piece_hashes[index]
+
+
 def piece_len(meta: TorrentMeta, index: int) -> int:
     if not 0 <= index < meta.num_pieces:
         raise IndexError(index)
@@ -149,9 +154,7 @@ def verify_receipt(receipt: Receipt, meta: TorrentMeta | None, t_now: int,
         if meta is not None:
             if receipt.infohash != meta.infohash:
                 return False
-            if not 0 <= receipt.index < meta.num_pieces:
-                return False
-            if receipt.piece_hash != meta.piece_hashes[receipt.index]:
+            if not piece_matches(meta, receipt.index, receipt.piece_hash):
                 return False
         if not epoch_within_skew(receipt.epoch, epoch_of(t_now, params), params, skew):
             return False
@@ -166,14 +169,14 @@ def verify_receipt(receipt: Receipt, meta: TorrentMeta | None, t_now: int,
 def receipt_id(receipt: Receipt):
     """Replay-detection key: everything the signature commits to, plus the
     signer.  Two receipts with the same id are the same attested event."""
-    return (
-        receipt.infohash,
-        receipt.sender_pk,
-        receipt.receiver_pk,
-        receipt.piece_hash,
-        receipt.index,
-        receipt.epoch,
-    )
+    return receipt_key(receipt.infohash, receipt.sender_pk, receipt.receiver_pk,
+                       receipt.piece_hash, receipt.index, receipt.epoch)
+
+
+def receipt_key(infohash: bytes, sender_pk: bytes, receiver_pk: bytes,
+                piece_hash: bytes, index: int, epoch: int):
+    """``receipt_id`` from the fields a report carries instead of receipts."""
+    return (infohash, sender_pk, receiver_pk, piece_hash, index, epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -229,56 +232,56 @@ class BatchReceipt:
     sig: bytes
 
 
-def _batch_msg(infohash: bytes, sender_pk: bytes, root: bytes, epoch: int) -> bytes:
-    return sc.canonical_encode(
-        [
-            (sc.TAG_ATOM, b"batch-receipt"),
-            (sc.TAG_BYTES, infohash),
-            (sc.TAG_PUBKEY, sender_pk),
-            (sc.TAG_DIGEST, root),
-            (sc.TAG_UINT, sc.enc_uint(epoch)),
-        ]
-    )
-
-
 def batch_attest(receiver: sc.KeyPair, infohash: bytes, sender_pk: bytes,
                  pieces: dict, t: int, params: EpochParams) -> BatchReceipt:
     """One signature covering several pieces; *pieces* maps index -> content."""
     if not pieces:
         raise ValueError("empty batch")
     indices = tuple(sorted(pieces))
-    hashes = tuple(sc.hash_data(pieces[i]) for i in indices)
-    root = merkle_root([_merkle_leaf(i, h) for i, h in zip(indices, hashes)])
-    epoch = epoch_of(t, params)
-    sig = sc.sign(receiver.sk, _batch_msg(infohash, sender_pk, root, epoch))
-    return BatchReceipt(
+    br = BatchReceipt(
         infohash=infohash,
         sender_pk=sender_pk,
         receiver_pk=receiver.pk,
         indices=indices,
-        piece_hashes=hashes,
-        epoch=epoch,
-        sig=sig,
+        piece_hashes=tuple(sc.hash_data(pieces[i]) for i in indices),
+        epoch=epoch_of(t, params),
+        sig=b"",
+    )
+    return replace(br, sig=sc.sign(receiver.sk, batch_msg(br, None)))
+
+
+def batch_msg(br: BatchReceipt, meta: TorrentMeta | None):
+    """The message a batch receipt's signature covers, or None when the batch
+    is malformed (empty, unsorted or repeated indices) or, given *meta*,
+    claims a piece the torrent does not have."""
+    if len(br.indices) != len(br.piece_hashes) or not br.indices:
+        return None
+    if list(br.indices) != sorted(set(br.indices)):
+        return None
+    if meta is not None:
+        if br.infohash != meta.infohash:
+            return None
+        if not all(piece_matches(meta, i, h) for i, h in zip(br.indices, br.piece_hashes)):
+            return None
+    root = merkle_root([_merkle_leaf(i, h) for i, h in zip(br.indices, br.piece_hashes)])
+    return sc.canonical_encode(
+        [
+            (sc.TAG_ATOM, b"batch-receipt"),
+            (sc.TAG_BYTES, br.infohash),
+            (sc.TAG_PUBKEY, br.sender_pk),
+            (sc.TAG_DIGEST, root),
+            (sc.TAG_UINT, sc.enc_uint(br.epoch)),
+        ]
     )
 
 
 def verify_batch(br: BatchReceipt, meta: TorrentMeta | None, t_now: int,
                  params: EpochParams, skew: int = 0) -> bool:
     try:
-        if len(br.indices) != len(br.piece_hashes) or not br.indices:
-            return False
-        if list(br.indices) != sorted(set(br.indices)):
-            return False
-        if meta is not None:
-            if br.infohash != meta.infohash:
-                return False
-            for i, h in zip(br.indices, br.piece_hashes):
-                if not 0 <= i < meta.num_pieces or h != meta.piece_hashes[i]:
-                    return False
         if not epoch_within_skew(br.epoch, epoch_of(t_now, params), params, skew):
             return False
-        root = merkle_root([_merkle_leaf(i, h) for i, h in zip(br.indices, br.piece_hashes)])
-        return sc.verify(br.receiver_pk, _batch_msg(br.infohash, br.sender_pk, root, br.epoch), br.sig)
+        msg = batch_msg(br, meta)
+        return msg is not None and sc.verify(br.receiver_pk, msg, br.sig)
     except Exception:
         return False
 
@@ -309,14 +312,15 @@ class SessionReceipt:
     sig: bytes
 
 
-def _cert_msg(infohash: bytes, sender_pk: bytes, session_pk: bytes, epoch: int) -> bytes:
+def cert_msg(cert: SessionCert) -> bytes:
+    """The message a session cert's long-term signature covers."""
     return sc.canonical_encode(
         [
             (sc.TAG_ATOM, b"session-cert"),
-            (sc.TAG_BYTES, infohash),
-            (sc.TAG_PUBKEY, sender_pk),
-            (sc.TAG_BYTES, session_pk),
-            (sc.TAG_UINT, sc.enc_uint(epoch)),
+            (sc.TAG_BYTES, cert.infohash),
+            (sc.TAG_PUBKEY, cert.sender_pk),
+            (sc.TAG_BYTES, cert.session_pk),
+            (sc.TAG_UINT, sc.enc_uint(cert.epoch)),
         ]
     )
 
@@ -346,24 +350,22 @@ def open_session(receiver: sc.KeyPair, infohash: bytes, sender_pk: bytes,
         b"session-key" + receiver.sk + infohash + sender_pk + sc.enc_uint(epoch)
     ).digest()
     skp = sc.session_keygen(seed)
-    sig = sc.sign(receiver.sk, _cert_msg(infohash, sender_pk, skp.pk, epoch))
     cert = SessionCert(
         infohash=infohash,
         sender_pk=sender_pk,
         receiver_pk=receiver.pk,
         session_pk=skp.pk,
         epoch=epoch,
-        sig=sig,
+        sig=b"",
     )
-    return cert, skp
+    return replace(cert, sig=sc.sign(receiver.sk, cert_msg(cert))), skp
 
 
 def verify_session_cert(cert: SessionCert, t_now: int, params: EpochParams, skew: int = 0) -> bool:
     try:
         if not epoch_within_skew(cert.epoch, epoch_of(t_now, params), params, skew):
             return False
-        msg = _cert_msg(cert.infohash, cert.sender_pk, cert.session_pk, cert.epoch)
-        return sc.verify(cert.receiver_pk, msg, cert.sig)
+        return sc.verify(cert.receiver_pk, cert_msg(cert), cert.sig)
     except Exception:
         return False
 
@@ -386,9 +388,7 @@ def verify_session_receipt(cert: SessionCert, sr: SessionReceipt, meta: TorrentM
         if meta is not None:
             if cert.infohash != meta.infohash:
                 return False
-            if not 0 <= sr.index < meta.num_pieces:
-                return False
-            if sr.piece_hash != meta.piece_hashes[sr.index]:
+            if not piece_matches(meta, sr.index, sr.piece_hash):
                 return False
         if not epoch_within_skew(sr.epoch, epoch_of(t_now, params), params, skew):
             return False
@@ -400,24 +400,9 @@ def verify_session_receipt(cert: SessionCert, sr: SessionReceipt, meta: TorrentM
 
 def aggregate_session_certs(certs) -> sc.AggregateSignature:
     """Aggregate the long-term signatures of many session certs so a verifier
-    can admit a whole report batch with one pairing product."""
+    can admit a whole report batch with one pairing product over the pairs
+    ``(cert.receiver_pk, cert_msg(cert))``."""
     return sc.aggregate([c.sig for c in certs])
-
-
-def verify_aggregated_certs(certs, agg: sc.AggregateSignature, t_now: int,
-                            params: EpochParams, skew: int = 0) -> bool:
-    try:
-        now_epoch = epoch_of(t_now, params)
-        for c in certs:
-            if not epoch_within_skew(c.epoch, now_epoch, params, skew):
-                return False
-        entries = [
-            (c.receiver_pk, _cert_msg(c.infohash, c.sender_pk, c.session_pk, c.epoch))
-            for c in certs
-        ]
-        return sc.aggregate_verify(entries, agg)
-    except Exception:
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -164,10 +164,11 @@ class DhtNode:
 
     # -- storage -------------------------------------------------------------
 
-    def handle_store(self, record: AnnounceRecord, now_epoch: int):
-        """Returns (True, None) or (False, reason).  Cheap chain checks run
-        before the signature so junk from adversarial scripts is rejected
-        without paying for a pairing."""
+    def check_record(self, record: AnnounceRecord, now_epoch: int):
+        """Whether an announce record may be stored or believed: (True, None)
+        or (False, reason).  Cheap chain checks run before the signature so
+        junk from adversarial scripts is rejected without paying for a
+        pairing."""
         rec = self.chain_read(record.uid, now_epoch)
         if rec == "no_budget":
             return False, "no_budget"
@@ -180,9 +181,15 @@ class DhtNode:
         msg = announce_record_msg(record.infohash, record.pk, record.ip, record.port)
         if not sc.verify(record.pk, msg, record.sig):
             return False, "bad_sig"
-        per_torrent = self.store.setdefault(record.infohash, {})
-        per_torrent[record.pk] = replace(record, stored_epoch=now_epoch)
         return True, None
+
+    def handle_store(self, record: AnnounceRecord, now_epoch: int):
+        """Store *record* if ``check_record`` admits it; returns its verdict."""
+        ok, reason = self.check_record(record, now_epoch)
+        if ok:
+            per_torrent = self.store.setdefault(record.infohash, {})
+            per_torrent[record.pk] = replace(record, stored_epoch=now_epoch)
+        return ok, reason
 
     def sweep(self, now_epoch: int) -> int:
         """Evict records past their TTL; returns eviction count."""
@@ -207,24 +214,10 @@ class DhtNode:
         """Tracker-style announce handled by a peer against its local view.
         *frm* is (uid, pk, sig, infohash, event, ip, port); the signature is
         over the same message the tracker would verify."""
-        uid, pk, sig, infohash, event, ip, port = frm
-        if event not in tr.EVENTS:
-            return []
-        rec = self.chain_read(uid, now_epoch)
-        if rec == "no_budget" or rec is None or rec.pk != pk:
-            return []
-        if not sc.verify(pk, tr.announce_msg(uid, infohash, event), sig):
-            return []
-        if event == "started" and tr.rep(rec.up, rec.down) < self.min_rep:
-            return []
-        view = self.local_views.setdefault(infohash, {})
-        if event == "stopped":
-            view.pop(pk, None)
-        else:
-            view[pk] = (ip, port)
-        others = sorted(p for p in view if p != pk)
-        picked = rng.sample(others, min(sample_cap, len(others)))
-        return [(p, view[p][0], view[p][1]) for p in picked]
+        def read(uid):
+            rec = self.chain_read(uid, now_epoch)
+            return None if rec == "no_budget" else rec
+        return tr.admit_announce(self.local_views, read, frm, self.min_rep, rng, sample_cap)
 
     def merge_view(self, infohash: bytes, records) -> None:
         for r in records:
@@ -398,22 +391,9 @@ def dht_get_peers(net: DhtNet, node: DhtNode, infohash: bytes):
                 merged.setdefault(r.pk, r)
     verified = []
     for r in merged.values():
-        ok, _ = _reverify(node, r, net.now_epoch)
+        ok, _ = node.check_record(r, net.now_epoch)
         if ok:
             verified.append(r)
     node.merge_view(infohash, verified)
     return verified
 
-
-def _reverify(node: DhtNode, record: AnnounceRecord, now_epoch: int):
-    rec = node.chain_read(record.uid, now_epoch)
-    if rec == "no_budget" or rec is None:
-        return False, "unknown_uid"
-    if rec.pk != record.pk:
-        return False, "pk_mismatch"
-    if tr.rep(rec.up, rec.down) < node.min_rep:
-        return False, "low_rep"
-    msg = announce_record_msg(record.infohash, record.pk, record.ip, record.port)
-    if not sc.verify(record.pk, msg, record.sig):
-        return False, "bad_sig"
-    return True, None

@@ -148,15 +148,11 @@ class SwarmSim:
         for p in self.peers[: sc_.seeders]:
             self.dht_announces += dht.dht_announce(self.net, self.nodes[p.uid], self.meta.infohash)
 
-        # t=0 announce round; sample_cap >= peers so every view is complete
+        # t=0 announce round; sample_cap >= peers so every view is complete,
+        # and late announcers are visible to early ones too
+        self.t = 0.0
         for p in self.peers:
-            sample = self.tracker.announce(
-                p.uid, p.kp.pk,
-                sc.sign(p.kp.sk, tr.announce_msg(p.uid, self.meta.infohash, "started")),
-                self.meta.infohash, "started", p.ip, p.port,
-            )
-            p.view = {pk for pk, _, _ in sample}
-        for p in self.peers:  # late announcers are visible to early ones too
+            self._announce(p, "started")
             p.view = {q.kp.pk for q in self.peers if q is not p}
 
         self.ground_truth: list[dict] = []
@@ -169,11 +165,11 @@ class SwarmSim:
         self.migrations = 0
         self.heap: list = []
         self.seq = 0
-        self.t = 0.0
 
     # -- event plumbing -----------------------------------------------------
 
     def _push(self, t: float, kind: str, data=None):
+        # (t, seq) is unique, so the heap never compares the event data
         heapq.heappush(self.heap, (t, self.seq, kind, data))
         self.seq += 1
 
@@ -224,7 +220,7 @@ class SwarmSim:
         sender = leecher.rng.choice(holders)
         dur = at.piece_len(self.meta, index) / self.sc.bandwidth * 1000.0
         dur += self._attest_charge(leecher, sender, index)
-        self._push(self.t + dur, "finish", (leecher.uid, sender.uid, index))
+        self._push(self.t + dur, "finish", (leecher, sender, index))
 
     def _receipted(self, index: int) -> bool:
         pol = self.sc.policy
@@ -458,10 +454,7 @@ class SwarmSim:
             t, _, kind, data = heapq.heappop(self.heap)
             self.t = t
             if kind == "finish":
-                l_uid, s_uid, index = data
-                leecher = next(p for p in self.peers if p.uid == l_uid)
-                sender = next(p for p in self.peers if p.uid == s_uid)
-                self._on_finish(leecher, sender, index)
+                self._on_finish(*data)
             elif kind == "flush":
                 self._on_flush(t)
             elif kind == "recover":

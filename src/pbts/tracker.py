@@ -9,7 +9,10 @@ successor instance whose contract names the old one as referrer, so one
 previous generation of records stays readable.
 
 All mutating entry points are serial; a rejected call leaves tracker and
-contract state exactly as it found them.
+contract state exactly as it found them.  Every check runs before the first
+contract write, and all writes of one request carry the same attestation, so
+a write the contract refuses is refused at the first one; receipts are spent
+only once every write has landed.
 """
 
 from __future__ import annotations
@@ -71,6 +74,33 @@ def announce_msg(uid: bytes, tid: bytes, event: str) -> bytes:
             (sc.TAG_ATOM, event.encode()),
         ]
     )
+
+
+def admit_announce(views: dict, read, frm, min_rep, rng: random.Random,
+                   sample_cap: int):
+    """The one announce-admission rule, for the tracker and for peers serving
+    announces from their local view.  *frm* is (uid, pk, sig, tid, event, ip,
+    port); *read(uid)* returns uid's reputation record, or None when there is
+    none to be had.  Updates ``views[tid]`` and returns a peer sample, or []
+    when the announce is refused."""
+    uid, pk, sig, tid, event, ip, port = frm
+    if event not in EVENTS:
+        return []
+    record = read(uid)
+    if record is None or record.pk != pk:
+        return []
+    if not sc.verify(pk, announce_msg(uid, tid, event), sig):
+        return []
+    if event == "started" and rep(record.up, record.down) < min_rep:
+        return []
+    view = views.setdefault(tid, {})
+    if event == "stopped":
+        view.pop(pk, None)
+    else:
+        view[pk] = (ip, port)
+    others = sorted(p for p in view if p != pk)
+    picked = rng.sample(others, min(sample_cap, len(others)))
+    return [(p, view[p][0], view[p][1]) for p in picked]
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +287,10 @@ class Tracker:
     def add_torrent(self, meta: at.TorrentMeta) -> None:
         self.torrents[meta.infohash] = meta
 
-    def _auth_for(self, payload: bytes) -> ct.AuthToken:
-        return ct.make_auth(self.quote, self.auth.sk, payload)
-
     def _write(self, uid: bytes, pk: bytes, up: int, down: int) -> bool:
         payload = ct._write_payload(self.addr, uid, pk, up, down)
-        return ct.sc_write(self.chain, self.addr, uid, (pk, up, down), self._auth_for(payload))
+        auth = ct.make_auth(self.quote, self.auth.sk, payload)
+        return ct.sc_write(self.chain, self.addr, uid, (pk, up, down), auth)
 
     # -- user-facing operations ---------------------------------------------
 
@@ -281,26 +309,21 @@ class Tracker:
 
     def announce(self, uid: bytes, pk: bytes, sig: bytes, tid: bytes, event: str,
                  ip: str, port: int, rng: random.Random | None = None):
-        if event not in EVENTS:
-            return []
-        record = ct.sc_read(self.chain, self.addr, uid)
-        if record is None or record.pk != pk:
-            return []
-        if not sc.verify(pk, announce_msg(uid, tid, event), sig):
-            return []
-        if event == "started" and rep(record.up, record.down) < self.pp.min_rep:
-            return []
-        swarm = self.swarms.setdefault(tid, {})
-        if event == "stopped":
-            swarm.pop(pk, None)
-        else:
-            swarm[pk] = (ip, port)
-        others = sorted(p for p in swarm if p != pk)
-        k = min(self.sample_cap, len(others))
-        picked = (rng or self.rng).sample(others, k)
-        return [(p, swarm[p][0], swarm[p][1]) for p in picked]
+        return admit_announce(
+            self.swarms, lambda u: ct.sc_read(self.chain, self.addr, u),
+            (uid, pk, sig, tid, event, ip, port), self.pp.min_rep,
+            rng or self.rng, self.sample_cap)
 
     # -- reports -------------------------------------------------------------
+
+    def report(self, payload: ReportPayload, now: int) -> bool:
+        return self._admit(payload, now, self._per_piece_claims)
+
+    def report_session(self, payload: SessionReportPayload, now: int) -> bool:
+        return self._admit(payload, now, self._session_claims)
+
+    def report_batch(self, payload: BatchReportPayload, now: int) -> bool:
+        return self._admit(payload, now, self._batch_claims)
 
     def _resolve(self, pk: bytes, uid: bytes):
         """Downloader resolution goes through the in-enclave index; the
@@ -310,152 +333,108 @@ class Tracker:
             return None
         return ct.sc_read(self.chain, self.addr, uid)
 
-    def report(self, payload: ReportPayload, now: int) -> bool:
-        p = payload
-        n = len(p.receipts)
-        if not (len(p.peers) == len(p.timestamps) == n) or n == 0:
-            return False
+    def _admit(self, p, now: int, expand) -> bool:
+        """The one admission pipeline of every report kind: credit the report,
+        or refuse it with no effect.  Cheap checks run first, then dedup and
+        the byte count, then signatures, then the contract writes.
+
+        A kind's *expand(p, meta, now)* says only what differs: None when a
+        binding of its own fails, else (claims, pairs, item_sigs).  Claims
+        are (downloader pk, uid, epoch, replay id, bytes) in payload order;
+        one with replay id None credits nothing but is checked all the same.
+        The aggregate must cover *pairs*; item_sigs yields the outcome of
+        each signature the aggregate does not cover."""
         meta = self.torrents.get(p.meta.infohash)
-        if meta is None:
+        if meta is None or p.delta_down < 0 or self._resolve(p.pk, p.uid) is None:
             return False
-        reporter = self._resolve(p.pk, p.uid)
-        if reporter is None or p.delta_down < 0:
+        expanded = expand(p, meta, now)
+        if expanded is None:
             return False
+        claims, pairs, item_sigs = expanded
         now_epoch = at.epoch_of(now, self.epoch)
-        pairs, rids = [], []
-        total = 0
-        for (pk_j, uid_j), t_j, (h_j, j) in zip(p.peers, p.timestamps, p.receipts):
+        resolved, rids, credits = set(), [], {}  # credits: uid -> bytes, first seen first
+        for pk_j, uid_j, e_j, rid, size in claims:
             if pk_j == p.pk:
                 return False  # no credit for transfers to oneself
-            e_j = at.epoch_of(t_j, self.epoch)
             if not at.epoch_within_skew(e_j, now_epoch, self.epoch):
                 return False
-            rid = (meta.infohash, p.pk, pk_j, h_j, j, e_j)
-            if rid in self.recent or rid in rids:
-                return False
-            if not 0 <= j < meta.num_pieces or h_j != meta.piece_hashes[j]:
-                return False
-            if self._resolve(pk_j, uid_j) is None:
-                return False
-            pairs.append((pk_j, at.receipt_msg(meta.infohash, p.pk, h_j, j, e_j)))
-            rids.append(rid)
-            total += at.piece_len(meta, j)
-        if p.delta_up != total:
-            return False
-        if not sc.aggregate_verify(pairs, p.agg_sig):
-            return False
-        self._apply_credits(p, now_epoch, rids,
-                            [(pk_j, uid_j, at.piece_len(meta, j))
-                             for (pk_j, uid_j), (_, j) in zip(p.peers, p.receipts)])
-        return True
-
-    def report_session(self, payload: SessionReportPayload, now: int) -> bool:
-        p = payload
-        if not p.certs or not p.items or len(p.peers) != len(p.certs):
-            return False
-        meta = self.torrents.get(p.meta.infohash)
-        if meta is None:
-            return False
-        reporter = self._resolve(p.pk, p.uid)
-        if reporter is None or p.delta_down < 0:
-            return False
-        now_epoch = at.epoch_of(now, self.epoch)
-        for cert, (pk_j, uid_j) in zip(p.certs, p.peers):
-            if cert.sender_pk != p.pk or cert.infohash != meta.infohash:
-                return False
-            if cert.receiver_pk != pk_j or pk_j == p.pk:
-                return False
-            if not at.epoch_within_skew(cert.epoch, now_epoch, self.epoch):
-                return False
-            if self._resolve(pk_j, uid_j) is None:
-                return False
-        if not at.verify_aggregated_certs(p.certs, p.agg_sig, now, self.epoch):
-            return False
-        sids = [sc.hash_data(at._cert_msg(c.infohash, c.sender_pk, c.session_pk, c.epoch))
-                for c in p.certs]
-        rids, credits = [], []
-        total = 0
-        for ci, sr in p.items:
-            if not 0 <= ci < len(p.certs):
-                return False
-            cert = p.certs[ci]
-            if not at.epoch_within_skew(sr.epoch, now_epoch, self.epoch):
-                return False
-            rid = ("session", sids[ci], sr.index, sr.epoch)
-            if rid in self.recent or rid in rids:
-                return False
-            if not at.verify_session_receipt(cert, sr, meta, now, self.epoch):
-                return False
-            rids.append(rid)
-            size = at.piece_len(meta, sr.index)
-            credits.append((cert.receiver_pk, p.peers[ci][1], size))
-            total += size
-        if p.delta_up != total:
-            return False
-        self._apply_credits(p, now_epoch, rids, credits)
-        return True
-
-    def report_batch(self, payload: BatchReportPayload, now: int) -> bool:
-        p = payload
-        n = len(p.batches)
-        if len(p.peers) != n or n == 0:
-            return False
-        meta = self.torrents.get(p.meta.infohash)
-        if meta is None:
-            return False
-        reporter = self._resolve(p.pk, p.uid)
-        if reporter is None or p.delta_down < 0:
-            return False
-        now_epoch = at.epoch_of(now, self.epoch)
-        pairs, rids, credits = [], [], []
-        total = 0
-        for br, (pk_j, uid_j) in zip(p.batches, p.peers):
-            if br.sender_pk != p.pk or br.infohash != meta.infohash:
-                return False
-            if br.receiver_pk != pk_j or pk_j == p.pk:
-                return False
-            if not at.epoch_within_skew(br.epoch, now_epoch, self.epoch):
-                return False
-            rid = at.batch_id(br)
-            if rid in self.recent or rid in rids:
-                return False
-            if len(br.indices) != len(br.piece_hashes) or not br.indices:
-                return False
-            if list(br.indices) != sorted(set(br.indices)):
-                return False
-            size = 0
-            for j, h_j in zip(br.indices, br.piece_hashes):
-                if not 0 <= j < meta.num_pieces or h_j != meta.piece_hashes[j]:
+            if (pk_j, uid_j) not in resolved:
+                if self._resolve(pk_j, uid_j) is None:
                     return False
-                size += at.piece_len(meta, j)
-            if self._resolve(pk_j, uid_j) is None:
+                resolved.add((pk_j, uid_j))
+            if rid is not None:
+                rids.append(rid)
+                credits[uid_j] = credits.get(uid_j, 0) + size
+        if not rids or len(set(rids)) != len(rids) or any(r in self.recent for r in rids):
+            return False
+        if p.delta_up != sum(credits.values()):
+            return False
+        if not sc.aggregate_verify(pairs, p.agg_sig) or not all(item_sigs):
+            return False
+        reporter = ct.sc_read(self.chain, self.addr, p.uid)
+        if not self._write(p.uid, reporter.pk, reporter.up + p.delta_up,
+                           reporter.down + p.delta_down):
+            return False
+        for uid_j, size in credits.items():
+            rec = ct.sc_read(self.chain, self.addr, uid_j)
+            if not self._write(uid_j, rec.pk, rec.up, rec.down + size):
                 return False
-            root = at.merkle_root(
-                [at._merkle_leaf(j, h) for j, h in zip(br.indices, br.piece_hashes)])
-            pairs.append((pk_j, at._batch_msg(meta.infohash, p.pk, root, br.epoch)))
-            rids.append(rid)
-            credits.append((pk_j, uid_j, size))
-            total += size
-        if p.delta_up != total:
-            return False
-        if not sc.aggregate_verify(pairs, p.agg_sig):
-            return False
-        self._apply_credits(p, now_epoch, rids, credits)
+        self.recent.update(dict.fromkeys(rids, now_epoch))
         return True
 
-    def _apply_credits(self, p, now_epoch: int, rids, downloads) -> None:
-        """downloads: (pk_j, uid_j, nbytes) per verified receipt.  Contract
-        writes are grouped per uid so each affected record is written once."""
-        reporter = ct.sc_read(self.chain, self.addr, p.uid)
-        self._write(p.uid, reporter.pk, reporter.up + p.delta_up, reporter.down + p.delta_down)
-        per_uid = {}
-        for _, uid_j, size in downloads:
-            per_uid[uid_j] = per_uid.get(uid_j, 0) + size
-        for uid_j, size in per_uid.items():
-            rec = ct.sc_read(self.chain, self.addr, uid_j)
-            self._write(uid_j, rec.pk, rec.up, rec.down + size)
-        for rid in rids:
-            self.recent[rid] = now_epoch
+    def _per_piece_claims(self, p: ReportPayload, meta: at.TorrentMeta, now: int):
+        if not len(p.peers) == len(p.timestamps) == len(p.receipts):
+            return None
+        claims, pairs = [], []
+        for (pk_j, uid_j), t_j, (h_j, j) in zip(p.peers, p.timestamps, p.receipts):
+            if not at.piece_matches(meta, j, h_j):
+                return None
+            e_j = at.epoch_of(t_j, self.epoch)
+            rid = at.receipt_key(meta.infohash, p.pk, pk_j, h_j, j, e_j)
+            claims.append((pk_j, uid_j, e_j, rid, at.piece_len(meta, j)))
+            pairs.append((pk_j, at.receipt_msg(meta.infohash, p.pk, h_j, j, e_j)))
+        return claims, pairs, ()
+
+    def _batch_claims(self, p: BatchReportPayload, meta: at.TorrentMeta, now: int):
+        if len(p.peers) != len(p.batches):
+            return None
+        claims, pairs = [], []
+        for br, (pk_j, uid_j) in zip(p.batches, p.peers):
+            if br.sender_pk != p.pk or br.receiver_pk != pk_j:
+                return None
+            msg = at.batch_msg(br, meta)
+            if msg is None:
+                return None
+            size = sum(at.piece_len(meta, j) for j in br.indices)
+            claims.append((pk_j, uid_j, br.epoch, at.batch_id(br), size))
+            pairs.append((pk_j, msg))
+        return claims, pairs, ()
+
+    def _session_claims(self, p: SessionReportPayload, meta: at.TorrentMeta, now: int):
+        """One claim per session receipt, then one per cert for the cert's
+        own epoch and downloader: a cert is checked even when no receipt uses it.
+        The aggregate covers the certs; each receipt carries its own session
+        signature."""
+        if len(p.peers) != len(p.certs) or not p.items:
+            return None
+        for cert, (pk_j, _) in zip(p.certs, p.peers):
+            if cert.sender_pk != p.pk or cert.infohash != meta.infohash:
+                return None
+            if cert.receiver_pk != pk_j:
+                return None
+        msgs = [at.cert_msg(c) for c in p.certs]
+        claims = []
+        for ci, sr in p.items:
+            if not 0 <= ci < len(p.certs) or not at.piece_matches(meta, sr.index, sr.piece_hash):
+                return None
+            pk_j, uid_j = p.peers[ci]
+            rid = ("session", sc.hash_data(msgs[ci]), sr.index, sr.epoch)
+            claims.append((pk_j, uid_j, sr.epoch, rid, at.piece_len(meta, sr.index)))
+        claims += [(pk_j, uid_j, c.epoch, None, 0) for c, (pk_j, uid_j) in zip(p.certs, p.peers)]
+        pairs = [(c.receiver_pk, m) for c, m in zip(p.certs, msgs)]
+        item_sigs = (at.verify_session_receipt(p.certs[ci], sr, meta, now, self.epoch)
+                     for ci, sr in p.items)
+        return claims, pairs, item_sigs
 
     def gc_recent(self, now: int) -> int:
         """Drop dedup entries old enough that the epoch-window check alone

@@ -334,13 +334,18 @@ class TestSessions:
         certs = [at.open_session(self.recv, self.meta.infohash, s.pk, self.now, EP)[0]
                  for s in senders]
         agg = at.aggregate_session_certs(certs)
-        assert at.verify_aggregated_certs(certs, agg, self.now, EP)
+
+        def pairs(cs):
+            return [(c.receiver_pk, at.cert_msg(c)) for c in cs]
+
+        assert sc.aggregate_verify(pairs(certs), agg)
         # swap one cert for an unaggregated one
         impostor, _ = at.open_session(
             sc.keygen(b"\x3f" * 32), self.meta.infohash, senders[0].pk, self.now, EP)
-        assert not at.verify_aggregated_certs(
-            [impostor] + certs[1:], agg, self.now, EP)
-        assert not at.verify_aggregated_certs(certs, agg, self.now + 9 * EP.window, EP)
+        assert not sc.aggregate_verify(pairs([impostor] + certs[1:]), agg)
+        # the signed message binds the cert's epoch
+        moved = dataclasses.replace(certs[1], epoch=certs[1].epoch + 1)
+        assert not sc.aggregate_verify(pairs([certs[0], moved, certs[2]]), agg)
 
 
 class TestPolicies:

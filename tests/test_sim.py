@@ -2,6 +2,7 @@
 runs whose on-chain ledgers must match receipted ground truth exactly."""
 
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -353,3 +354,42 @@ def test_overhead_model_recorded_in_metrics():
     want = C.throughput_overhead(BASE.file_size, BASE.bandwidth,
                                  BASE.piece_size, BASE.policy, FAST)
     assert res.metrics["overhead_model"] == want
+
+
+# One small run per receipt policy, covering reports, the three adversaries,
+# an outage and a migration.  Each digest pair was recorded from a known-good
+# tracker: the chain log fixes which contract writes happen and in what order,
+# the metrics fix what the run observed.  A change to either is a change in
+# protocol behaviour, not a refactor.
+GOLDEN = scn.Scenario(
+    name="golden", seed=1234, peers=5, seeders=2, file_size=24 * 1024,
+    piece_size=4 * 1024, tracker_down=((1_000_000, 1_200_000),),
+    migrate_on_recovery=True, adversaries=("inflate", "replay", "forge"))
+
+GOLDEN_DIGESTS = {
+    "PerPiecePolicy": (
+        "e14d13685b6be3b4c8ba027028659954683a6dad625258cae39bfd5be71c2c80",
+        "1aa06350c2980cc8237a21a727571afa1aece9c4954ec9ebadd3bc9454a42745"),
+    "AdaptivePolicy": (
+        "2eb5ab2aacd2c2f6f2833369e00bf52535adea03aa861f1ce548308f7e54f655",
+        "1bdad527f7f59bad04bf3d5463033ea7ebc67d233f8292b348c12a3860e5e506"),
+    "BatchPolicy": (
+        "46023f0e7eba707322690f4e3161f01ccd990cfda721f79e3e0b2240273468c3",
+        "d13a117b0bef7342193d586879fdbc32a8f33311d0dd5ba63cd007ab58249fc7"),
+    "SessionPolicy": (
+        "c4094593265dd4b9408aeb85679c61fa20683e5983f19003e65e253ddd0d8c54",
+        "a56b888f57198dfb2fef07a035bfa89ab21e52593e4f539749ea233f67471ccc"),
+}
+
+
+@pytest.mark.parametrize("policy", POLICIES[:4], ids=lambda p: type(p).__name__)
+def test_golden_chain_log(policy, tmp_path):
+    path = tmp_path / "chain.log"
+    res = swarm.run_scenario(dataclasses.replace(GOLDEN, policy=policy), FAST,
+                             chain_path=str(path))
+    res.chain.close()
+    assert res.metrics["tracker"]["migrations"] == 1
+    assert res.metrics["counts"]["reports_rejected"] == 3
+    log_digest, metrics_digest = GOLDEN_DIGESTS[type(policy).__name__]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == log_digest
+    assert hashlib.sha256(res.metrics_bytes).hexdigest() == metrics_digest

@@ -356,3 +356,107 @@ class TestMigrate:
 
     def test_unknown_source_rejected(self, env):
         assert tr.migrate(env.world, env.chain, b"\x00" * 20, env.pp, PROG, CFG) is None
+
+
+# ---------------------------------------------------------------------------
+# the same refusals through every report kind
+
+KINDS = ("report", "report_batch", "report_session")
+
+
+def tx(recv_i, pieces, t=NOW, uid=None, garbled=False):
+    """One transfer from u0 to user *recv_i*: the pieces it covers, when the
+    downloader signed for it, the uid the report claims for the downloader,
+    and whether the first piece was signed over the wrong content."""
+    return recv_i, pieces, t, uid, garbled
+
+
+HONEST = (tx(1, (2, 5)), tx(2, (3, 6)), tx(3, (4, 7)))
+
+
+def make_report(env, kind, transfers=HONEST):
+    """u0's report of *transfers* in the payload format of *kind*."""
+    uid0, kp0 = env.users[0]
+    ih, ep = env.meta.infohash, env.t.epoch
+    entries = []
+    for recv_i, pieces, t, uid, garbled in transfers:
+        uid_r, kp_r = env.users[recv_i]
+        content = {j: env.contents[j] for j in pieces}
+        if garbled:
+            content[pieces[0]] = b"not the real content"
+        if kind == "report":
+            entries += [(at.attest(kp_r, ih, kp0.pk, content[j], j, t, ep), uid or uid_r)
+                        for j in pieces]
+        elif kind == "report_batch":
+            entries.append((at.batch_attest(kp_r, ih, kp0.pk, content, t, ep), uid or uid_r))
+        else:
+            cert, skp = at.open_session(kp_r, ih, kp0.pk, t, ep)
+            srs = [at.session_attest(skp.sk, cert, content[j], j, t, ep) for j in pieces]
+            entries.append((cert, uid or uid_r, srs))
+    if kind == "report":
+        return tr.build_report(uid0, kp0.pk, env.meta, entries, ep)
+    if kind == "report_batch":
+        return tr.build_batch_report(uid0, kp0.pk, env.meta, entries)
+    return tr.build_session_report(uid0, kp0.pk, env.meta, entries)
+
+
+def _replayed(env, kind):
+    # the middle transfer was already credited by an earlier report
+    assert getattr(env.t, kind)(make_report(env, kind, HONEST[1:2]), NOW)
+    return make_report(env, kind)
+
+
+def _with(**change):
+    """The honest report with some fields replaced; a callable computes the
+    new value from the honest payload."""
+    def case(env, kind):
+        p = make_report(env, kind)
+        return dataclasses.replace(
+            p, **{k: v(p) if callable(v) else v for k, v in change.items()})
+    return case
+
+
+REFUSALS = {
+    "unknown_torrent": _with(meta=at.make_torrent("other", [sc.hash_data(b"q")], 700)),
+    "reporter_uid_mismatch": _with(uid=b"u3"),
+    "negative_delta_down": _with(delta_down=-1),
+    "delta_up_off_by_one": _with(delta_up=lambda p: p.delta_up + 1),
+    "transfer_to_self": lambda env, kind: make_report(
+        env, kind, (HONEST[0], tx(0, (3, 6)), HONEST[2])),
+    "epoch_outside_window": lambda env, kind: make_report(
+        env, kind, (HONEST[0], tx(2, (3, 6), t=NOW - 3 * W), HONEST[2])),
+    "duplicate_within_report": lambda env, kind: make_report(
+        env, kind, HONEST + HONEST[:1]),
+    "replay_across_reports": _replayed,
+    "downloader_uid_mismatch": lambda env, kind: make_report(
+        env, kind, (HONEST[0], tx(2, (3, 6), uid=b"u1"), HONEST[2])),
+    "garbage_aggregate": _with(
+        agg_sig=lambda p: sc.AggregateSignature(b"\x11" * 96, p.agg_sig.count)),
+    "bad_claim_in_the_middle": lambda env, kind: make_report(
+        env, kind, (HONEST[0], tx(2, (3, 6), garbled=True), HONEST[2])),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("refusal", sorted(REFUSALS))
+def test_refusal_leaves_chain_and_dedup_untouched(env, kind, refusal):
+    payload = REFUSALS[refusal](env, kind)
+    digest, recent = ct.state_digest(env.chain), dict(env.t.recent)
+    assert not getattr(env.t, kind)(payload, NOW)
+    assert ct.state_digest(env.chain) == digest
+    assert env.t.recent == recent
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_refused_write_spends_no_receipt(env, kind):
+    payload = make_report(env, kind)
+    digest, recent = ct.state_digest(env.chain), dict(env.t.recent)
+    env.chain.allowlist.discard(env.t.measurement)  # contract writes now fail
+    assert not getattr(env.t, kind)(payload, NOW)
+    assert ct.state_digest(env.chain) == digest
+    assert env.t.recent == recent
+    env.chain.allowlist.add(env.t.measurement)
+    assert getattr(env.t, kind)(payload, NOW)
+    assert ct.sc_read(env.chain, env.t.addr, b"u0").up == 4096 + 6 * 700
+    for uid in (b"u1", b"u2", b"u3"):
+        assert ct.sc_read(env.chain, env.t.addr, uid).down == 2 * 700
