@@ -423,12 +423,13 @@ class Tracker:
             if cert.receiver_pk != pk_j:
                 return None
         msgs = [at.cert_msg(c) for c in p.certs]
+        sids = [sc.hash_data(m) for m in msgs]
         claims = []
         for ci, sr in p.items:
             if not 0 <= ci < len(p.certs) or not at.piece_matches(meta, sr.index, sr.piece_hash):
                 return None
             pk_j, uid_j = p.peers[ci]
-            rid = ("session", sc.hash_data(msgs[ci]), sr.index, sr.epoch)
+            rid = ("session", sids[ci], sr.index, sr.epoch)
             claims.append((pk_j, uid_j, sr.epoch, rid, at.piece_len(meta, sr.index)))
         claims += [(pk_j, uid_j, c.epoch, None, 0) for c, (pk_j, uid_j) in zip(p.certs, p.peers)]
         pairs = [(c.receiver_pk, m) for c, m in zip(p.certs, msgs)]

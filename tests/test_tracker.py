@@ -460,3 +460,43 @@ def test_refused_write_spends_no_receipt(env, kind):
     assert ct.sc_read(env.chain, env.t.addr, b"u0").up == 4096 + 6 * 700
     for uid in (b"u1", b"u2", b"u3"):
         assert ct.sc_read(env.chain, env.t.addr, uid).down == 2 * 700
+
+
+# ---------------------------------------------------------------------------
+# session certs: each is checked for itself, whether or not a receipt uses it
+
+
+def session_report(env, sessions):
+    """u0's session report; each session is (recv_i, pieces, cert time,
+    downloader uid or None).  Receipts are signed at NOW whatever the cert's
+    time, and a session with no pieces contributes a cert no receipt uses."""
+    uid0, kp0 = env.users[0]
+    ih, ep = env.meta.infohash, env.t.epoch
+    entries = []
+    for recv_i, pieces, t_cert, uid in sessions:
+        uid_r, kp_r = env.users[recv_i]
+        cert, skp = at.open_session(kp_r, ih, kp0.pk, t_cert, ep)
+        srs = [at.session_attest(skp.sk, cert, env.contents[j], j, NOW, ep) for j in pieces]
+        entries.append((cert, uid or uid_r, srs))
+    return tr.build_session_report(uid0, kp0.pk, env.meta, entries)
+
+
+USED = [(1, (2, 5), NOW, None), (2, (3, 6), NOW, None)]
+
+CERT_REFUSALS = {
+    "cert_outside_window": [USED[0], (2, (3, 6), NOW - 3 * W, None)],
+    "unused_cert_outside_window": USED + [(3, (), NOW - 3 * W, None)],
+    "unused_cert_downloader_uid_mismatch": USED + [(3, (), NOW, b"u1")],
+    "unused_cert_to_self": USED + [(0, (), NOW, None)],
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(CERT_REFUSALS))
+def test_session_cert_refusal_leaves_chain_and_dedup_untouched(env, refusal):
+    payload = session_report(env, CERT_REFUSALS[refusal])
+    digest, recent = ct.state_digest(env.chain), dict(env.t.recent)
+    assert not env.t.report_session(payload, NOW)
+    assert ct.state_digest(env.chain) == digest
+    assert env.t.recent == recent
+    # the same receipts without the faulty cert are credited
+    assert env.t.report_session(session_report(env, USED), NOW)
