@@ -252,9 +252,11 @@ def batch_attest(receiver: sc.KeyPair, infohash: bytes, sender_pk: bytes,
 
 def batch_msg(br: BatchReceipt, meta: TorrentMeta | None):
     """The message a batch receipt's signature covers, or None when the batch
-    is malformed (empty, unsorted or repeated indices) or, given *meta*,
-    claims a piece the torrent does not have."""
+    is malformed (empty, unsorted or repeated indices, an epoch that does not
+    fit 8 bytes) or, given *meta*, claims a piece the torrent does not have."""
     if len(br.indices) != len(br.piece_hashes) or not br.indices:
+        return None
+    if not sc.fits_uint(br.epoch):
         return None
     if list(br.indices) != sorted(set(br.indices)):
         return None

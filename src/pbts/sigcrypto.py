@@ -80,8 +80,13 @@ def canonical_decode(blob: bytes):
     return fields
 
 
+def fits_uint(n: int) -> bool:
+    """Whether ``enc_uint`` can encode n."""
+    return 0 <= n < 1 << 64
+
+
 def enc_uint(n: int) -> bytes:
-    if not 0 <= n < 1 << 64:
+    if not fits_uint(n):
         raise ValueError("uint out of range")
     return n.to_bytes(8, "big")
 
@@ -180,13 +185,14 @@ def aggregate_verify(pairs, agg: AggregateSignature) -> bool:
 
     Cost: one Miller pair per distinct signer (plus one for the aggregate)
     and one final exponentiation, however many messages each signer has.
-    Each signer's messages are mapped to the twist, summed, and cleared into
-    G2 once, so the check is prod_i e(pk_i, clear(sum_j map(m_ij))) ==
-    e(G1, agg).  That is the per-message product: the pairing is bilinear
-    and cofactor clearing is a group homomorphism (Budroni-Pintore, eprint
-    2017/419).  Aggregates over one signer's messages are safe because
-    registration demands proof of possession of each key, which rules out
-    rogue keys (Boneh-Drijvers-Neven, eprint 2018/483).
+    Each signer's messages are mapped to the twist, summed in Jacobian
+    coordinates, and cleared into G2 once (one inversion per signer), so the
+    check is prod_i e(pk_i, clear(sum_j map(m_ij))) == e(G1, agg).  That is
+    the per-message product: the pairing is bilinear and cofactor clearing is
+    a group homomorphism (Budroni-Pintore, eprint 2017/419).  Aggregates
+    over one signer's messages are safe because registration demands proof
+    of possession of each key, which rules out rogue keys
+    (Boneh-Drijvers-Neven, eprint 2018/483).
     """
     try:
         pairs = list(pairs)
@@ -195,14 +201,14 @@ def aggregate_verify(pairs, agg: AggregateSignature) -> bool:
         agg_pt = _bls.g2_from_bytes(bytes(agg.data))
         if agg_pt is None:
             return False
-        sums = {}  # signer's pk point -> sum of its mapped messages, first-seen order
+        mapped = {}  # signer's pk point -> its mapped messages, first-seen order
         for pk, msg in pairs:
             pk_pt = _bls.g1_from_bytes(bytes(pk))
             if pk_pt is None:
                 return False
-            sums[pk_pt] = _bls.g2_add(sums.get(pk_pt), _bls.map_to_curve(bytes(msg)))
+            mapped.setdefault(pk_pt, []).append(_bls.map_to_curve(bytes(msg)))
         args = [(_bls.g1_neg(_bls.G1_GEN), agg_pt)]
-        args += [(pk_pt, _bls.g2_clear_cofactor(s)) for pk_pt, s in sums.items()]
+        args += [(pk_pt, _bls.g2_clear_cofactor(*pts)) for pk_pt, pts in mapped.items()]
         return _bls.multi_pairing_is_one(args)
     except Exception:
         return False

@@ -387,9 +387,11 @@ class Tracker:
             return None
         claims, pairs = [], []
         for (pk_j, uid_j), t_j, (h_j, j) in zip(p.peers, p.timestamps, p.receipts):
-            if not at.piece_matches(meta, j, h_j):
+            if t_j < 0 or not at.piece_matches(meta, j, h_j):
                 return None
             e_j = at.epoch_of(t_j, self.epoch)
+            if not sc.fits_uint(e_j):
+                return None  # the receipt message cannot encode it
             rid = at.receipt_key(meta.infohash, p.pk, pk_j, h_j, j, e_j)
             claims.append((pk_j, uid_j, e_j, rid, at.piece_len(meta, j)))
             pairs.append((pk_j, at.receipt_msg(meta.infohash, p.pk, h_j, j, e_j)))
@@ -420,7 +422,7 @@ class Tracker:
         for cert, (pk_j, _) in zip(p.certs, p.peers):
             if cert.sender_pk != p.pk or cert.infohash != meta.infohash:
                 return None
-            if cert.receiver_pk != pk_j:
+            if cert.receiver_pk != pk_j or not sc.fits_uint(cert.epoch):
                 return None
         msgs = [at.cert_msg(c) for c in p.certs]
         sids = [sc.hash_data(m) for m in msgs]

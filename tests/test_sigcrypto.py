@@ -3,7 +3,7 @@
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from pbts import bls12381 as bls
 from pbts import sigcrypto as sc
@@ -283,6 +283,10 @@ class TestHashToCurveSplit:
         a, b = bls.map_to_curve(b"split-a"), bls.map_to_curve(b"split-b")
         assert bls.g2_clear_cofactor(bls.g2_add(a, b)) == bls.g2_add(
             bls.hash_to_g2(b"split-a"), bls.hash_to_g2(b"split-b"))
+        # several points are summed before clearing, a repeated one included
+        assert bls.g2_clear_cofactor(a, b) == bls.g2_clear_cofactor(bls.g2_add(a, b))
+        assert bls.g2_clear_cofactor(a, a) == bls.g2_clear_cofactor(bls.g2_add(a, a))
+        assert bls.g2_clear_cofactor(a, bls.g2_neg(a)) is None
 
     def test_mapped_point_is_on_twist_outside_g2(self):
         pt = bls.map_to_curve(b"split-a")
@@ -310,6 +314,98 @@ class TestHashToCurveSplit:
         for pt in (bls.hash_to_g2(b"split-a"), bls.map_to_curve(b"split-a"),
                    bls.g2_add(bls.hash_to_g2(b"split-b"), bls.map_to_curve(b"split-b"))):
             assert bls.g2_in_subgroup(pt) == (bls.g2_mul(pt, bls.R) is None)
+
+
+# SHA-256 of final_exponentiation(_miller_loop([(G1_GEN, G2_GEN)])), its twelve
+# coefficients in tower order as 48-byte big-endian ints.  The value of the
+# pairing, not just its bilinearity, is pinned: scaling the Miller loop's
+# lines by factors the final exponentiation removes must not move it.
+GOLDEN_PAIRING = "06fa588b89fdfb034dbc1c163ecb3dfac228f552b643c7294cc5f2c4dc170b84"
+
+fq = st.integers(0, int(bls.P) - 1)
+fq2 = st.tuples(fq, fq)
+fq12 = st.tuples(st.tuples(fq2, fq2, fq2), st.tuples(fq2, fq2, fq2))
+unreduced = st.integers(-30 * int(bls.P), 30 * int(bls.P))  # the tangent's w^3 slot
+
+
+def _fq12_ref_mul(a, b):
+    """Schoolbook product in the w basis, Fq12 = Fq2[w] / (w^6 - xi), u^2 = -1."""
+    def coeffs(x):  # (c0, c1) = c0[0] + c1[0] w + c0[1] w^2 + ... + c1[2] w^5
+        (x0, x2, x4), (x1, x3, x5) = x
+        return [x0, x1, x2, x3, x4, x5]
+
+    out = [[0, 0] for _ in range(11)]
+    for i, (a0, a1) in enumerate(coeffs(a)):
+        for j, (b0, b1) in enumerate(coeffs(b)):
+            out[i + j][0] += a0 * b0 - a1 * b1
+            out[i + j][1] += a0 * b1 + a1 * b0
+    for k in range(10, 5, -1):  # w^k = xi * w^(k - 6), xi = 1 + u
+        hi0, hi1 = out[k]
+        out[k - 6][0] += hi0 - hi1
+        out[k - 6][1] += hi0 + hi1
+    c = [(r % bls.P, i % bls.P) for r, i in out[:6]]
+    return ((c[0], c[2], c[4]), (c[1], c[3], c[5]))
+
+
+# A failing pairing example is reported as drawn: shrinking 381-bit field
+# elements takes minutes and about a gigabyte, and tells no more.
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+def _pairing_pairs(n):
+    """n pairs of independent-looking points (P_i, Q_i) in G1 x G2."""
+    return [(bls.g1_mul_gen(1000 + 7 * i), bls.hash_to_g2(b"pair-%d" % i)) for i in range(n)]
+
+
+class TestPairing:
+    """The pairing check itself: the projective Miller loop scales every line
+    by a factor the final exponentiation removes, so its value must not move."""
+
+    def test_golden_digest(self):
+        f = bls.final_exponentiation(bls._miller_loop([(bls.G1_GEN, bls.G2_GEN)]))
+        flat = b"".join(int(c).to_bytes(48, "big") for half in f for c2 in half for c in c2)
+        assert sc.hash_data(flat).hex() == GOLDEN_PAIRING
+
+    def test_bilinear(self):
+        a, b = 0x1234567, 0xFEDCBA98765
+        p, q = bls.G1_GEN, bls.hash_to_g2(b"bilinear")
+        lhs = (bls.g1_mul(p, a), bls.g2_mul(q, b))
+        assert bls.multi_pairing_is_one([lhs, (bls.g1_neg(bls.g1_mul(p, a * b)), q)])
+        assert not bls.multi_pairing_is_one([lhs, (bls.g1_neg(bls.g1_mul(p, a * b + 1)), q)])
+
+    def test_non_degenerate(self):
+        assert not bls.multi_pairing_is_one([(bls.G1_GEN, bls.G2_GEN)])
+        for p, q in _pairing_pairs(2):
+            assert not bls.multi_pairing_is_one([(p, q)])
+
+    @given(st.integers(1, 5), st.randoms(use_true_random=False), st.booleans())
+    @settings(max_examples=10, deadline=None, phases=NO_SHRINK)
+    def test_cancellation_in_any_order(self, n, rnd, negate_q):
+        # e(P, Q) * e(-P, Q) = 1, and likewise with -Q, however many and in any order
+        pairs = []
+        for p, q in _pairing_pairs(n):
+            pairs += [(p, q), (p, bls.g2_neg(q)) if negate_q else (bls.g1_neg(p), q)]
+        rnd.shuffle(pairs)
+        assert bls.multi_pairing_is_one(pairs)
+
+    @pytest.mark.parametrize("where", [0, 3, 5])
+    def test_one_tampered_pair_rejected(self, where):
+        pairs = []
+        for p, q in _pairing_pairs(3):
+            pairs += [(p, q), (bls.g1_neg(p), q)]
+        p, q = pairs[where]
+        pairs[where] = (bls.g1_mul(p, 2), q) if where % 2 else (p, bls.g2_mul(q, 2))
+        assert not bls.multi_pairing_is_one(pairs)
+
+    @given(fq12, fq12, fq2, st.tuples(unreduced, unreduced), fq2)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+    def test_kernels_match_schoolbook(self, a, b, la, lb, lc):
+        assert bls.fq12_mul(a, b) == _fq12_ref_mul(a, b)
+        assert bls.fq12_sq(a) == _fq12_ref_mul(a, a)
+        line = ((la, (0, 0), (0, 0)), ((0, 0), lb, lc))
+        assert bls._fq12_mul_line(a, (*la, *lb, *lc)) == _fq12_ref_mul(a, line)
+        if a != ((bls.FQ2_ZERO,) * 3,) * 2:
+            assert bls.fq12_mul(a, bls.fq12_inv(a)) == bls.FQ12_ONE
 
 
 class TestSessionScheme:

@@ -416,6 +416,22 @@ def _with(**change):
     return case
 
 
+def _epoch(epoch):
+    """The honest report with the middle transfer claiming *epoch*, which no
+    signed message can encode; a per-piece report carries it as a timestamp."""
+    def case(env, kind):
+        p = make_report(env, kind)
+        if kind == "report":
+            stamps = list(p.timestamps)
+            stamps[2] = epoch * W
+            return dataclasses.replace(p, timestamps=tuple(stamps))
+        field = "batches" if kind == "report_batch" else "certs"
+        items = list(getattr(p, field))
+        items[1] = dataclasses.replace(items[1], epoch=epoch)
+        return dataclasses.replace(p, **{field: tuple(items)})
+    return case
+
+
 REFUSALS = {
     "unknown_torrent": _with(meta=at.make_torrent("other", [sc.hash_data(b"q")], 700)),
     "reporter_uid_mismatch": _with(uid=b"u3"),
@@ -434,6 +450,8 @@ REFUSALS = {
         agg_sig=lambda p: sc.AggregateSignature(b"\x11" * 96, p.agg_sig.count)),
     "bad_claim_in_the_middle": lambda env, kind: make_report(
         env, kind, (HONEST[0], tx(2, (3, 6), garbled=True), HONEST[2])),
+    "epoch_negative": _epoch(-1),
+    "epoch_not_encodable": _epoch(1 << 64),
 }
 
 
