@@ -15,9 +15,9 @@ messages and clear the sum once (see ``sigcrypto.aggregate_verify``).
 
 Performance notes, since this runs on CPython:
 
-* field elements are ``gmpy2.mpz`` (plain ints if gmpy2 is missing) — mpz
-  modmul is ~2.4x faster at 381 bits and ``invert``/``powmod`` are 10-70x
-  faster than ``pow``;
+* field elements are plain ints, or ``gmpy2.mpz`` where gmpy2 is installed
+  (the shim lives in :mod:`pbts.weierstrass`, with the G1 group law that
+  secp256k1 shares); the tests and the benchmark run the plain-int path;
 * the Miller loop keeps each twist point T in homogeneous coordinates, so a
   doubling or addition step makes no inversion: it yields the next T and the
   line's coefficients (sparse in slots w^0, w^3, w^5) directly, each line
@@ -48,26 +48,8 @@ from __future__ import annotations
 import hashlib
 from functools import lru_cache
 
-try:
-    from gmpy2 import mpz, powmod, invert as _gmp_invert, isqrt
-
-    def _inv(a, m):
-        return _gmp_invert(a, m)
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    def mpz(x):  # type: ignore[misc]
-        return int(x)
-
-    def powmod(a, e, m):  # type: ignore[misc]
-        return pow(int(a), int(e), int(m))
-
-    def _inv(a, m):
-        return pow(int(a), -1, int(m))
-
-    def isqrt(n):  # type: ignore[misc]
-        import math
-
-        return math.isqrt(int(n))
+from . import weierstrass as wei
+from .weierstrass import ONE as _ONE, ZERO as _ZERO, inv as _inv, mpz, powmod
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +78,6 @@ G2_GEN = (
         mpz(0x0606C4A02EA734CC32ACD2B02BC28B99CB3E287E85A763AF267492AB572E99AB3F370D275CEC1DA1AAA9075FF05F79BE),
     ),
 )
-
-_ZERO = mpz(0)
-_ONE = mpz(1)
 
 FQ2_ZERO = (_ZERO, _ZERO)
 FQ2_ONE = (_ONE, _ZERO)
@@ -365,8 +344,8 @@ def fq12_frob2(a):
 
 
 # ---------------------------------------------------------------------------
-# G1: y^2 = x^3 + 4 over Fq.  Affine points are (x, y) tuples, None = infinity.
-# Jacobian triples (X, Y, Z) are used inside scalar multiplication.
+# G1: y^2 = x^3 + 4 over Fq.  Affine points are (x, y) tuples, None = infinity;
+# scalar multiplication is :mod:`pbts.weierstrass`.
 
 def g1_is_on_curve(pt):
     if pt is None:
@@ -379,72 +358,6 @@ def g1_neg(pt):
     return None if pt is None else (pt[0], -pt[1] % P)
 
 
-def _g1_jdbl(pt):
-    x1, y1, z1 = pt
-    a = x1 * x1 % P
-    b = y1 * y1 % P
-    c = b * b % P
-    d = ((x1 + b) ** 2 - a - c << 1) % P
-    e = 3 * a % P
-    f = e * e % P
-    x3 = (f - (d << 1)) % P
-    y3 = (e * (d - x3) - (c << 3)) % P
-    z3 = (y1 * z1 << 1) % P
-    return (x3, y3, z3)
-
-
-def _g1_jadd(p1, p2):
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    if z1 == 0:
-        return p2
-    if z2 == 0:
-        return p1
-    z1z1 = z1 * z1 % P
-    z2z2 = z2 * z2 % P
-    u1 = x1 * z2z2 % P
-    u2 = x2 * z1z1 % P
-    s1 = y1 * z2z2 % P * z2 % P
-    s2 = y2 * z1z1 % P * z1 % P
-    if u1 == u2:
-        if s1 != s2:
-            return (_ONE, _ONE, _ZERO)
-        return _g1_jdbl(p1)
-    h = (u2 - u1) % P
-    i = (h * h << 2) % P
-    j = h * i % P
-    rr = (s2 - s1 << 1) % P
-    v = u1 * i % P
-    x3 = (rr * rr - j - (v << 1)) % P
-    y3 = (rr * (v - x3) - (s1 * j << 1)) % P
-    z3 = ((z1 + z2) ** 2 - z1z1 - z2z2) % P * h % P
-    return (x3, y3, z3)
-
-
-def _g1_jaff(pt):
-    x, y, z = pt
-    if z == 0:
-        return None
-    zi = _inv(z, P)
-    zi2 = zi * zi % P
-    return (x * zi2 % P, y * zi2 % P * zi % P)
-
-
-def _wnaf(k, w):
-    digits = []
-    while k:
-        if k & 1:
-            d = k & ((1 << w) - 1)
-            if d >= 1 << (w - 1):
-                d -= 1 << w
-            k -= d
-        else:
-            d = 0
-        digits.append(d)
-        k >>= 1
-    return digits
-
-
 def g1_mul(pt, k):
     """k * pt for affine pt (k any int); returns affine or None."""
     if pt is None or k == 0:
@@ -452,98 +365,16 @@ def g1_mul(pt, k):
     if k < 0:
         pt = g1_neg(pt)
         k = -k
-    # odd-multiple table 1P..15P in jacobian
-    base = (pt[0], pt[1], _ONE)
-    dbl = _g1_jdbl(base)
-    table = [base]
-    for _ in range(7):
-        table.append(_g1_jadd(table[-1], dbl))
-    acc = (_ONE, _ONE, _ZERO)
-    for d in reversed(_wnaf(k, 5)):
-        acc = _g1_jdbl(acc)
-        if d > 0:
-            acc = _g1_jadd(acc, table[d >> 1])
-        elif d < 0:
-            tx, ty, tz = table[-d >> 1]
-            acc = _g1_jadd(acc, (tx, -ty % P, tz))
-    return _g1_jaff(acc)
+    return wei.mul(wei.odd_multiples(pt, P), k, P)
 
 
 # fixed-base table for the G1 generator (4-bit windows), used by keygen
-def _build_g1_gen_table():
-    windows = []
-    base = (G1_GEN[0], G1_GEN[1], _ONE)
-    for _ in range(64):
-        row = [base]
-        for _ in range(14):
-            row.append(_g1_jadd(row[-1], base))
-        windows.append(row)
-        for _ in range(4):
-            base = _g1_jdbl(base)
-    # batch-convert to affine for cheap mixed adds
-    zs = [pt[2] for row in windows for pt in row]
-    n = len(zs)
-    pref = [None] * n
-    acc = _ONE
-    for i, z in enumerate(zs):
-        pref[i] = acc
-        acc = acc * z % P
-    inv = _inv(acc, P)
-    zinvs = [None] * n
-    for i in range(n - 1, -1, -1):
-        zinvs[i] = inv * pref[i] % P
-        inv = inv * zs[i] % P
-    out = []
-    idx = 0
-    for row in windows:
-        arow = []
-        for (x, y, _z) in row:
-            zi = zinvs[idx]
-            idx += 1
-            zi2 = zi * zi % P
-            arow.append((x * zi2 % P, y * zi2 % P * zi % P))
-        out.append(arow)
-    return out
-
-
-_G1_GEN_TABLE = _build_g1_gen_table()
+_G1_GEN_TABLE = wei.gen_table(G1_GEN, P)
 
 
 def g1_mul_gen(k):
     """k * G1 generator via the fixed-base table."""
-    k %= R
-    if k == 0:
-        return None
-    acc = (_ONE, _ONE, _ZERO)
-    i = 0
-    while k:
-        d = k & 15
-        if d:
-            x2, y2 = _G1_GEN_TABLE[i][d - 1]
-            # mixed add (affine second operand)
-            x1, y1, z1 = acc
-            if z1 == 0:
-                acc = (x2, y2, _ONE)
-            else:
-                z1z1 = z1 * z1 % P
-                u2 = x2 * z1z1 % P
-                s2 = y2 * z1z1 % P * z1 % P
-                h = (u2 - x1) % P
-                if h == 0 and (s2 - y1) % P == 0:
-                    acc = _g1_jdbl(acc)
-                else:
-                    hh = h * h % P
-                    i2 = (hh << 2) % P
-                    j = h * i2 % P
-                    rr = (s2 - y1 << 1) % P
-                    v = x1 * i2 % P
-                    x3 = (rr * rr - j - (v << 1)) % P
-                    y3 = (rr * (v - x3) - (y1 * j << 1)) % P
-                    z3 = ((z1 + h) ** 2 - z1z1 - hh) % P
-                    acc = (x3, y3, z3)
-        k >>= 4
-        i += 1
-    return _g1_jaff(acc)
+    return wei.mul_gen(_G1_GEN_TABLE, k % R, P)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +481,7 @@ def g2_mul(pt, k):
     for _ in range(7):
         table.append(_g2_jadd(table[-1], dbl))
     acc = (FQ2_ONE, FQ2_ONE, FQ2_ZERO)
-    for d in reversed(_wnaf(k, 5)):
+    for d in reversed(wei.wnaf(k)):
         acc = _g2_jdbl(acc)
         if d > 0:
             acc = _g2_jadd(acc, table[d >> 1])

@@ -377,23 +377,27 @@ def dht_announce(net: DhtNet, node: DhtNode, infohash: bytes) -> int:
 
 
 def dht_get_peers(net: DhtNet, node: DhtNode, infohash: bytes):
-    """Collect records from the k closest nodes, deduplicate by pk, and
-    re-verify every record locally before it can enter the local view."""
+    """Collect records from the k closest nodes and re-verify them locally
+    before they can enter the local view: per pk, the first copy that passes
+    is kept, so one holder's forged copy cannot hide the valid ones.  Equal
+    copies are checked once."""
     targets, _ = find_closest(net, node, torrent_key(infohash))
-    merged = {}
+    collected = []
     for c in targets:
         if c[0] == node.nid:
             records = node.stored_records(infohash, net.now_epoch)
         else:
             records = net.rpc_get(node, c[0], infohash)
-        if records:
-            for r in records:
-                merged.setdefault(r.pk, r)
-    verified = []
-    for r in merged.values():
-        ok, _ = node.check_record(r, net.now_epoch)
-        if ok:
-            verified.append(r)
+        collected.extend(records or ())
+    kept, refused = {}, set()
+    for r in collected:
+        if r.pk in kept or r in refused:
+            continue
+        if node.check_record(r, net.now_epoch)[0]:
+            kept[r.pk] = r
+        else:
+            refused.add(r)
+    verified = list(kept.values())
     node.merge_view(infohash, verified)
     return verified
 

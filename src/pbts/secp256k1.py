@@ -2,9 +2,12 @@
 
 Backs the ephemeral session-signature scheme: short 64-byte signatures that
 are roughly an order of magnitude cheaper to produce than the pairing-based
-ones.  Signing uses a fixed-base window table for the group generator;
-verification caches a small odd-multiple table per public key (the same keys
-recur constantly inside a session, and contract owners re-sign every write).
+ones.  The group law is :mod:`pbts.weierstrass`, shared with the BLS12-381
+G1, as is the ``gmpy2`` shim; without gmpy2 (as in the tests and the
+benchmark) every field element is a plain int.  Signing uses the fixed-base
+table of the generator; verification caches each public key's wNAF table
+(the same keys recur constantly inside a session, and contract owners
+re-sign every write).
 
 Signatures are (r || s), 32 bytes each, with the low-s normalization so the
 encoding is canonical.  Public keys are 33-byte compressed SEC1.
@@ -16,212 +19,41 @@ import hashlib
 import hmac
 from functools import lru_cache
 
-try:
-    from gmpy2 import mpz, invert as _gmp_invert, powmod
-
-    def _inv(a, m):
-        return _gmp_invert(a, m)
-
-except ImportError:  # pragma: no cover
-    def mpz(x):  # type: ignore[misc]
-        return int(x)
-
-    def powmod(a, e, m):  # type: ignore[misc]
-        return pow(int(a), int(e), int(m))
-
-    def _inv(a, m):
-        return pow(int(a), -1, int(m))
-
+from . import weierstrass as wei
+from .weierstrass import inv as _inv, mpz, powmod
 
 P = mpz(0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F)
 N = mpz(0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141)
 GX = mpz(0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798)
 GY = mpz(0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8)
 B = mpz(7)
-_ZERO = mpz(0)
-_ONE = mpz(1)
 _HALF_N = N >> 1
 
-
-def _jdbl(pt):
-    x1, y1, z1 = pt
-    a = x1 * x1 % P
-    b = y1 * y1 % P
-    c = b * b % P
-    d = ((x1 + b) ** 2 - a - c << 1) % P
-    e = 3 * a % P
-    f = e * e % P
-    x3 = (f - (d << 1)) % P
-    y3 = (e * (d - x3) - (c << 3)) % P
-    z3 = (y1 * z1 << 1) % P
-    return (x3, y3, z3)
-
-
-def _jadd(p1, p2):
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    if z1 == 0:
-        return p2
-    if z2 == 0:
-        return p1
-    z1z1 = z1 * z1 % P
-    z2z2 = z2 * z2 % P
-    u1 = x1 * z2z2 % P
-    u2 = x2 * z1z1 % P
-    s1 = y1 * z2z2 % P * z2 % P
-    s2 = y2 * z1z1 % P * z1 % P
-    if u1 == u2:
-        if s1 != s2:
-            return (_ONE, _ONE, _ZERO)
-        return _jdbl(p1)
-    h = (u2 - u1) % P
-    i = (h * h << 2) % P
-    j = h * i % P
-    rr = (s2 - s1 << 1) % P
-    v = u1 * i % P
-    x3 = (rr * rr - j - (v << 1)) % P
-    y3 = (rr * (v - x3) - (s1 * j << 1)) % P
-    z3 = ((z1 + z2) ** 2 - z1z1 - z2z2) % P * h % P
-    return (x3, y3, z3)
-
-
-def _jaff(pt):
-    x, y, z = pt
-    if z == 0:
-        return None
-    zi = _inv(z, P)
-    zi2 = zi * zi % P
-    return (x * zi2 % P, y * zi2 % P * zi % P)
-
-
-def _batch_to_affine(jpts):
-    zs = [pt[2] for pt in jpts]
-    n = len(zs)
-    pref = [None] * n
-    acc = _ONE
-    for i, z in enumerate(zs):
-        pref[i] = acc
-        acc = acc * z % P
-    inv = _inv(acc, P)
-    zinvs = [None] * n
-    for i in range(n - 1, -1, -1):
-        zinvs[i] = inv * pref[i] % P
-        inv = inv * zs[i] % P
-    out = []
-    for (x, y, _z), zi in zip(jpts, zinvs):
-        zi2 = zi * zi % P
-        out.append((x * zi2 % P, y * zi2 % P * zi % P))
-    return out
-
-
-def _build_gen_table():
-    windows = []
-    base = (GX, GY, _ONE)
-    flat = []
-    for _ in range(64):
-        row = [base]
-        for _ in range(14):
-            row.append(_jadd(row[-1], base))
-        flat.extend(row)
-        windows.append(None)
-        for _ in range(4):
-            base = _jdbl(base)
-    affine = _batch_to_affine(flat)
-    return [affine[i * 15:(i + 1) * 15] for i in range(64)]
-
-
-_GEN_TABLE = _build_gen_table()
-
-
-def _madd(acc, apt):
-    # mixed add: jacobian acc + affine apt
-    x2, y2 = apt
-    x1, y1, z1 = acc
-    if z1 == 0:
-        return (x2, y2, _ONE)
-    z1z1 = z1 * z1 % P
-    u2 = x2 * z1z1 % P
-    s2 = y2 * z1z1 % P * z1 % P
-    h = (u2 - x1) % P
-    if h == 0:
-        if (s2 - y1) % P == 0:
-            return _jdbl(acc)
-        return (_ONE, _ONE, _ZERO)
-    hh = h * h % P
-    i = (hh << 2) % P
-    j = h * i % P
-    rr = (s2 - y1 << 1) % P
-    v = x1 * i % P
-    x3 = (rr * rr - j - (v << 1)) % P
-    y3 = (rr * (v - x3) - (y1 * j << 1)) % P
-    z3 = ((z1 + h) ** 2 - z1z1 - hh) % P
-    return (x3, y3, z3)
+_GEN_TABLE = wei.gen_table((GX, GY), P)
 
 
 def mul_gen(k):
     """k * G via the fixed-base table; returns affine or None."""
-    k %= N
-    if k == 0:
-        return None
-    acc = (_ONE, _ONE, _ZERO)
-    i = 0
-    while k:
-        d = k & 15
-        if d:
-            acc = _madd(acc, _GEN_TABLE[i][d - 1])
-        k >>= 4
-        i += 1
-    return _jaff(acc)
-
-
-def _wnaf(k, w):
-    digits = []
-    while k:
-        if k & 1:
-            d = k & ((1 << w) - 1)
-            if d >= 1 << (w - 1):
-                d -= 1 << w
-            k -= d
-        else:
-            d = 0
-        digits.append(d)
-        k >>= 1
-    return digits
+    return wei.mul_gen(_GEN_TABLE, k % N, P)
 
 
 @lru_cache(maxsize=512)
 def _odd_multiples(pt):
-    base = (pt[0], pt[1], _ONE)
-    dbl = _jdbl(base)
-    rows = [base]
-    for _ in range(7):
-        rows.append(_jadd(rows[-1], dbl))
-    return _batch_to_affine(rows)
+    return wei.odd_multiples(pt, P)
 
 
 def mul_point(pt, k):
-    """k * pt for affine pt (cached ."""
+    """k * pt for affine pt, with pt's wNAF table cached."""
     k %= N
     if pt is None or k == 0:
         return None
-    table = _odd_multiples(pt)
-    acc = (_ONE, _ONE, _ZERO)
-    for d in reversed(_wnaf(k, 5)):
-        acc = _jdbl(acc)
-        if d > 0:
-            acc = _madd(acc, table[d >> 1])
-        elif d < 0:
-            tx, ty = table[-d >> 1]
-            acc = _madd(acc, (tx, -ty % P))
-    return _jaff(acc)
+    return wei.mul(_odd_multiples(pt), k, P)
 
 
 def point_add(p1, p2):
     if p1 is None:
         return p2
-    if p2 is None:
-        return p1
-    return _jaff(_jadd((p1[0], p1[1], _ONE), (p2[0], p2[1], _ONE)))
+    return wei.to_affine(wei.madd((p1[0], p1[1], wei.ONE), p2, P), P)
 
 
 def is_on_curve(pt):
@@ -262,7 +94,7 @@ def point_from_bytes(data: bytes):
 
 def keygen(seed: bytes):
     """Derive (sk_int, pk_point) from seed bytes."""
-    d = _ZERO
+    d = 0
     ctr = 0
     while not 1 <= d < N:
         digest = hashlib.sha256(b"ecdsa-keygen" + seed + bytes([ctr])).digest()
@@ -289,7 +121,8 @@ def _rfc6979_k(d, e):
         v = hmac.new(k, v, hashlib.sha256).digest()
 
 
-def sign(d, message: bytes) -> bytes:
+def sign(d: int, message: bytes) -> bytes:
+    """Sign with the secret scalar d, an int in [1, N)."""
     e = mpz(int.from_bytes(hashlib.sha256(message).digest(), "big") % N)
     k = _rfc6979_k(d, e)
     while True:

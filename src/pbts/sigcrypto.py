@@ -230,7 +230,7 @@ def session_sign(sk: bytes, message: bytes) -> bytes:
     d = int.from_bytes(sk, "big")
     if not 1 <= d < _ec.N:
         raise ValueError("secret key out of range")
-    return _ec.sign(_ec.mpz(d), bytes(message))
+    return _ec.sign(d, bytes(message))
 
 
 def session_verify(pk: bytes, message: bytes, sig: bytes) -> bool:

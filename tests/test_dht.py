@@ -330,13 +330,28 @@ class TestRetrieve:
         assert dht.dht_get_peers(env.net, env.nodes[3], IH) == []
         assert env.nodes[3].local_views.get(IH, {}) == {}
 
+    def test_one_lying_holder_cannot_hide_a_valid_record(self):
+        env = Net(6, seed=42)
+        assert dht.dht_announce(env.net, env.nodes[1], IH) == 6
+        key = dht.torrent_key(IH)
+        closest = min(env.nodes, key=lambda n: dht.xor_distance(n.nid, key))
+        good = closest.store[IH][env.nodes[1].kp.pk]
+        closest.store[IH][good.pk] = replace(good, port=4444)
+        got = dht.dht_get_peers(env.net, env.nodes[3], IH)
+        assert [(r.pk, r.port) for r in got] == [(good.pk, good.port)]
+        assert env.nodes[3].local_views[IH][good.pk] == (good.ip, good.port)
+
     def test_retrieval_rechecks_reputation(self):
         # stored while in good standing, slashed afterwards: the stale copy
         # is still served by holders but dropped by every requester
         env = Net(6, seed=43)
         assert dht.dht_announce(env.net, env.nodes[1], IH) == 6
         env.slash(1)
-        assert dht.dht_get_peers(env.net, env.nodes[2], IH) == []
+        requester, checked = env.nodes[2], []
+        check = requester.check_record
+        requester.check_record = lambda r, now: checked.append(r) or check(r, now)
+        assert dht.dht_get_peers(env.net, requester, IH) == []
+        assert len(checked) == 1  # the holders' equal copies cost one chain read
 
     def test_unregistered_record_dropped_on_retrieval(self):
         env = Net(5, seed=44)

@@ -1,12 +1,18 @@
 """Signature schemes and canonical framing."""
 
+import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from pbts import bls12381 as bls
+from pbts import contract as ct
+from pbts import enclave as encl
 from pbts import sigcrypto as sc
+from pbts import tracker as tr
+from pbts import weierstrass as wei
 
 # Deterministic outputs frozen from first implementation; any change to
 # key derivation, hashing-to-curve, or serialization shows up here.
@@ -406,6 +412,52 @@ class TestPairing:
         assert bls._fq12_mul_line(a, (*la, *lb, *lc)) == _fq12_ref_mul(a, line)
         if a != ((bls.FQ2_ZERO,) * 3,) * 2:
             assert bls.fq12_mul(a, bls.fq12_inv(a)) == bls.FQ12_ONE
+
+
+# (0, 2) lies on the G1 curve y^2 = x^3 + 4, and 0 is the smallest x for
+# which x^3 + 4 is a square.  It has order 3, so it lies outside the r-order
+# subgroup, and every pairing with it is 1: added to an honest key it gives a
+# second encoding that verifies the same signatures, unless decoding checks
+# the subgroup.
+TORSION = (bls.mpz(0), bls.mpz(2))
+
+
+class TestG1Subgroup:
+    KP = sc.keygen(b"\x21" * 32)
+    MSG = b"subgroup"
+
+    def outside_keys(self):
+        x, y = bls.g1_from_bytes(self.KP.pk)
+        shifted = wei.to_affine(wei.madd((x, y, wei.ONE), TORSION, bls.P), bls.P)
+        return [bls.g1_to_bytes(TORSION), bls.g1_to_bytes(shifted)]
+
+    def test_torsion_point_is_invisible_to_the_pairing(self):
+        assert bls.g1_is_on_curve(TORSION) and not bls.g1_in_subgroup(TORSION)
+        assert bls.g1_mul(TORSION, 3) is None and bls.g1_mul(TORSION, bls.R) == TORSION
+        assert bls.multi_pairing_is_one([(TORSION, bls.hash_to_g2(self.MSG))])
+
+    def test_decoding_refuses_keys_outside_g1(self):
+        for pk in self.outside_keys():
+            with pytest.raises(ValueError):
+                bls.g1_from_bytes(pk)
+
+    def test_keys_outside_g1_verify_nothing(self):
+        sig = sc.sign(self.KP.sk, self.MSG)
+        assert sc.verify(self.KP.pk, self.MSG, sig)
+        for pk in self.outside_keys():
+            assert not sc.verify(pk, self.MSG, sig)
+            assert not sc.aggregate_verify([(pk, self.MSG)], sc.aggregate([sig]))
+
+    def test_tracker_refuses_to_register_keys_outside_g1(self):
+        world = encl.world_new(seed=21)
+        world.allowlist.add(encl.measure(b"prog", b"cfg"))
+        chain = ct.chain_new(world.allowlist, world.hw_root_pk)
+        pp = tr.setup(128, Fraction(1, 2), 100, random.Random(21))
+        tracker = tr.Tracker.launch(world, chain, pp, b"prog", b"cfg")
+        sig = sc.sign(self.KP.sk, tr.register_msg(pp.iid, b"u"))
+        for pk in self.outside_keys():
+            assert not tracker.register(b"u", pk, sig)
+        assert tracker.register(b"u", self.KP.pk, sig)
 
 
 class TestSessionScheme:
