@@ -7,10 +7,11 @@ name a referrer (its predecessor before a migration): reads fall through to
 the referrer's *local* records — exactly one hop, so state two migrations
 back is deliberately unreachable.
 
-Every mutation is appended to a JSON-lines log before it is applied.  The log
-is the persistence format: reconstructing a chain from the log rebuilds the
-exact state, and byte-level corruption or truncation is reported with the
-first bad sequence number.
+Every accepted operation is one entry of a JSON-lines log (a deployment, or
+a write of one or more records, applied all or none), appended and then
+applied by the very function that replays the log.  The log is the
+persistence format: a log cut at any entry boundary rebuilds the state after
+some whole operation, and corruption is reported with the first bad seq.
 
 The auth token is an attestation quote plus a session-scheme signature over
 the operation payload by the key bound into the quote's nonce field
@@ -21,6 +22,7 @@ check is rejected outright.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -109,19 +111,16 @@ def _init_payload(iid: bytes, ref_addr: bytes | None, pk: bytes) -> bytes:
     )
 
 
-def _write_payload(addr: bytes, uid: bytes, pk: bytes, up: int, down: int) -> bytes:
-    return sc.canonical_encode(
-        [
-            (sc.TAG_ATOM, b"sc-write"),
-            (sc.TAG_BYTES, addr),
-            (sc.TAG_BYTES, uid),
-            (sc.TAG_PUBKEY, pk),
-            (sc.TAG_UINT, sc.enc_uint(up)),
-            (sc.TAG_UINT, sc.enc_uint(down)),
-        ]
-    )
+def _write_payload(addr: bytes, records) -> bytes:
+    """Raises TypeError or ValueError on a record the encoding cannot carry."""
+    fields = [(sc.TAG_ATOM, b"sc-write"), (sc.TAG_BYTES, addr)]
+    for uid, pk, up, down in records:
+        fields += [(sc.TAG_BYTES, uid), (sc.TAG_PUBKEY, pk),
+                   (sc.TAG_UINT, sc.enc_uint(up)), (sc.TAG_UINT, sc.enc_uint(down))]
+    return sc.canonical_encode(fields)
 
 
+@functools.lru_cache(maxsize=1)  # a live deployment derives, then applies
 def _derive_addr(nonce: int, init_payload: bytes) -> bytes:
     return sc.hash_data(
         sc.canonical_encode([(sc.TAG_UINT, sc.enc_uint(nonce)), (sc.TAG_BYTES, init_payload)])
@@ -203,13 +202,17 @@ def _apply_logged(chain: Chain, op: str, addr: bytes, payload: bytes, seq: int) 
         )
         chain.nonce += 1
     elif op == "write":
-        if len(fields) != 6 or fields[0][1] != b"sc-write":
+        if len(fields) < 6 or len(fields) % 4 != 2 or fields[0][1] != b"sc-write":
             raise ChainLogCorrupt(seq, "bad write payload shape")
-        w_addr, uid, pk = fields[1][1], fields[2][1], fields[3][1]
-        up, down = sc.dec_uint(fields[4][1]), sc.dec_uint(fields[5][1])
-        if w_addr != addr or addr not in chain.contracts:
+        if fields[1][1] != addr or addr not in chain.contracts:
             raise ChainLogCorrupt(seq, "write to unknown contract")
-        chain.contracts[addr].data[uid] = (pk, up, down)
+        try:
+            records = {fields[i][1]: (fields[i + 1][1], sc.dec_uint(fields[i + 2][1]),
+                                      sc.dec_uint(fields[i + 3][1]))
+                       for i in range(2, len(fields), 4)}
+        except ValueError:
+            raise ChainLogCorrupt(seq, "bad counter encoding")
+        chain.contracts[addr].data.update(records)
     else:
         raise ChainLogCorrupt(seq, f"unknown op {op!r}")
 
@@ -224,8 +227,7 @@ def sc_init(chain: Chain, iid: bytes, ref_addr: bytes | None, pk: bytes, auth: A
         return None
     addr = _derive_addr(chain.nonce, payload)
     _append_log(chain, "init", addr, payload, auth)
-    chain.contracts[addr] = Contract(addr=addr, iid=iid, referrer=ref_addr, owner_pk=pk)
-    chain.nonce += 1
+    _apply_logged(chain, "init", addr, payload, chain._seq)
     return addr
 
 
@@ -246,25 +248,22 @@ def sc_read(chain: Chain, addr: bytes, uid: bytes):
     return None
 
 
-def sc_write(chain: Chain, addr: bytes, uid: bytes, value, auth: AuthToken) -> bool:
-    """Owner-only write of (pk, up, down) for uid; False on any failure."""
+def sc_write(chain: Chain, addr: bytes, records, auth: AuthToken) -> bool:
+    """Owner-only write of (uid, pk, up, down) records, all or none; False on any failure."""
     contract = chain.contracts.get(addr)
     if contract is None:
         return False
     try:
-        pk, up, down = value
-        if not isinstance(pk, (bytes, bytearray)):
-            return False
-        up, down = int(up), int(down)
-        if up < 0 or down < 0:
+        records = [(uid, pk, int(up), int(down)) for uid, pk, up, down in records]
+        payload = _write_payload(addr, records)
+        if not records or len({bytes(r[0]) for r in records}) != len(records):
             return False
     except (TypeError, ValueError):
         return False
-    payload = _write_payload(addr, uid, bytes(pk), up, down)
     if not _check_auth(chain, contract.owner_pk, payload, auth):
         return False
     _append_log(chain, "write", addr, payload, auth)
-    contract.data[uid] = (bytes(pk), up, down)
+    _apply_logged(chain, "write", addr, payload, chain._seq)
     return True
 
 

@@ -9,10 +9,10 @@ successor instance whose contract names the old one as referrer, so one
 previous generation of records stays readable.
 
 All mutating entry points are serial; a rejected call leaves tracker and
-contract state exactly as it found them.  Every check runs before the first
-contract write, and all writes of one request carry the same attestation, so
-a write the contract refuses is refused at the first one; receipts are spent
-only once every write has landed.
+contract state exactly as it found them.  Every check runs before the
+request's one contract write, which carries the reporter's record and every
+credited downloader's and lands whole or not at all; receipts are spent only
+once it has landed.
 """
 
 from __future__ import annotations
@@ -287,10 +287,12 @@ class Tracker:
     def add_torrent(self, meta: at.TorrentMeta) -> None:
         self.torrents[meta.infohash] = meta
 
-    def _write(self, uid: bytes, pk: bytes, up: int, down: int) -> bool:
-        payload = ct._write_payload(self.addr, uid, pk, up, down)
-        auth = ct.make_auth(self.quote, self.auth.sk, payload)
-        return ct.sc_write(self.chain, self.addr, uid, (pk, up, down), auth)
+    def _write(self, uid: bytes, pk: bytes, up: int, down: int, *more) -> bool:
+        """One attested contract write of (uid, pk, up, down) and of each
+        further such record in *more*: all of them land, or none does."""
+        records = [(uid, pk, up, down), *more]
+        auth = ct.make_auth(self.quote, self.auth.sk, ct._write_payload(self.addr, records))
+        return ct.sc_write(self.chain, self.addr, records, auth)
 
     # -- user-facing operations ---------------------------------------------
 
@@ -336,7 +338,7 @@ class Tracker:
     def _admit(self, p, now: int, expand) -> bool:
         """The one admission pipeline of every report kind: credit the report,
         or refuse it with no effect.  Cheap checks run first, then dedup and
-        the byte count, then signatures, then the contract writes.
+        the byte count, then signatures, then the one contract write.
 
         A kind's *expand(p, meta, now)* says only what differs: None when a
         binding of its own fails, else (claims, pairs, item_sigs).  Claims
@@ -345,23 +347,24 @@ class Tracker:
         The aggregate must cover *pairs*; item_sigs yields the outcome of
         each signature the aggregate does not cover."""
         meta = self.torrents.get(p.meta.infohash)
-        if meta is None or p.delta_down < 0 or self._resolve(p.pk, p.uid) is None:
+        reporter = self._resolve(p.pk, p.uid)
+        if meta is None or p.delta_down < 0 or reporter is None:
             return False
         expanded = expand(p, meta, now)
         if expanded is None:
             return False
         claims, pairs, item_sigs = expanded
         now_epoch = at.epoch_of(now, self.epoch)
-        resolved, rids, credits = set(), [], {}  # credits: uid -> bytes, first seen first
+        resolved, rids, credits = {}, [], {}  # credits: uid -> bytes, first seen first
         for pk_j, uid_j, e_j, rid, size in claims:
             if pk_j == p.pk:
                 return False  # no credit for transfers to oneself
             if not at.epoch_within_skew(e_j, now_epoch, self.epoch):
                 return False
             if (pk_j, uid_j) not in resolved:
-                if self._resolve(pk_j, uid_j) is None:
+                resolved[pk_j, uid_j] = self._resolve(pk_j, uid_j)
+                if resolved[pk_j, uid_j] is None:
                     return False
-                resolved.add((pk_j, uid_j))
             if rid is not None:
                 rids.append(rid)
                 credits[uid_j] = credits.get(uid_j, 0) + size
@@ -371,14 +374,12 @@ class Tracker:
             return False
         if not sc.aggregate_verify(pairs, p.agg_sig) or not all(item_sigs):
             return False
-        reporter = ct.sc_read(self.chain, self.addr, p.uid)
+        records = {uid: rec for (_, uid), rec in resolved.items()}
         if not self._write(p.uid, reporter.pk, reporter.up + p.delta_up,
-                           reporter.down + p.delta_down):
+                           reporter.down + p.delta_down,
+                           *((u, records[u].pk, records[u].up, records[u].down + size)
+                             for u, size in credits.items())):
             return False
-        for uid_j, size in credits.items():
-            rec = ct.sc_read(self.chain, self.addr, uid_j)
-            if not self._write(uid_j, rec.pk, rec.up, rec.down + size):
-                return False
         self.recent.update(dict.fromkeys(rids, now_epoch))
         return True
 

@@ -259,7 +259,7 @@ def test_chain_log_round_trip_at_scale(tmp_path):
     combos = []
     for i in range(64):
         uid, value = b"u%02d" % i, (b"pk-%02d" % i, 1000 + i, i)
-        payload = ct._write_payload(addr, uid, *value)
+        payload = ct._write_payload(addr, [(uid, *value)])
         combos.append((uid, value, ct.make_auth(quote, auth.sk, payload)))
     rng = random.Random(7_001)
     ops = 10_000
@@ -268,7 +268,7 @@ def test_chain_log_round_trip_at_scale(tmp_path):
             deploy(rng.randbytes(16), rng.choice([None, addr]))
         else:
             uid, value, token = rng.choice(combos)
-            assert ct.sc_write(chain, addr, uid, value, token)
+            assert ct.sc_write(chain, addr, [(uid, *value)], token)
     state, digest = ct.serialize_state(chain), ct.state_digest(chain)
     chain.close()
 

@@ -40,19 +40,20 @@ def deploy(chain, auth_kp, quote, ref=None, iid=IID):
     return addr
 
 
-def write(chain, addr, auth_kp, quote, uid, value):
-    payload = ct._write_payload(addr, uid, value[0], value[1], value[2])
-    return ct.sc_write(chain, addr, uid, value, ct.make_auth(quote, auth_kp.sk, payload))
+def write(chain, addr, auth_kp, quote, *records):
+    """One owner-signed write of (uid, pk, up, down) *records*."""
+    payload = ct._write_payload(addr, records)
+    return ct.sc_write(chain, addr, records, ct.make_auth(quote, auth_kp.sk, payload))
 
 
 def test_deploy_and_read_write(env):
     _, chain, auth_kp, quote = env
     addr = deploy(chain, auth_kp, quote)
     assert ct.sc_read(chain, addr, b"alice") is None
-    assert write(chain, addr, auth_kp, quote, b"alice", (b"pk-a", 10, 3))
+    assert write(chain, addr, auth_kp, quote, (b"alice", b"pk-a", 10, 3))
     rec = ct.sc_read(chain, addr, b"alice")
     assert (rec.pk, rec.up, rec.down) == (b"pk-a", 10, 3)
-    assert write(chain, addr, auth_kp, quote, b"alice", (b"pk-a", 12, 3))
+    assert write(chain, addr, auth_kp, quote, (b"alice", b"pk-a", 12, 3))
     assert ct.sc_read(chain, addr, b"alice").up == 12
 
 
@@ -66,7 +67,7 @@ def test_addresses_unique(env):
 def test_referrer_one_hop_only(env):
     _, chain, auth_kp, quote = env
     a0 = deploy(chain, auth_kp, quote)
-    assert write(chain, a0, auth_kp, quote, b"old-user", (b"pk", 5, 1))
+    assert write(chain, a0, auth_kp, quote, (b"old-user", b"pk", 5, 1))
     a1 = deploy(chain, auth_kp, quote, ref=a0)
     a2 = deploy(chain, auth_kp, quote, ref=a1)
     assert ct.get_referrer(chain, a1) == a0
@@ -75,7 +76,7 @@ def test_referrer_one_hop_only(env):
     # two hops: a2 -> a1 -> a0 is out of reach by design
     assert ct.sc_read(chain, a2, b"old-user") is None
     # local write shadows the inherited record
-    assert write(chain, a1, auth_kp, quote, b"old-user", (b"pk", 9, 1))
+    assert write(chain, a1, auth_kp, quote, (b"old-user", b"pk", 9, 1))
     assert ct.sc_read(chain, a1, b"old-user").up == 9
     assert ct.sc_read(chain, a0, b"old-user").up == 5
 
@@ -91,7 +92,7 @@ def test_unknown_contract(env):
     _, chain, auth_kp, quote = env
     with pytest.raises(ct.ChainError):
         ct.sc_read(chain, b"\x02" * 20, b"u")
-    assert not write(chain, b"\x02" * 20, auth_kp, quote, b"u", (b"pk", 1, 1))
+    assert not write(chain, b"\x02" * 20, auth_kp, quote, (b"u", b"pk", 1, 1))
 
 
 class TestAuth:
@@ -99,9 +100,9 @@ class TestAuth:
         world, chain, auth_kp, quote = env
         addr = deploy(chain, auth_kp, quote)
         rogue = sc.session_keygen(b"\x13" * 32)
-        payload = ct._write_payload(addr, b"u", b"pk", 1, 0)
+        payload = ct._write_payload(addr, [(b"u", b"pk", 1, 0)])
         auth = ct.make_auth(quote, rogue.sk, payload)
-        assert not ct.sc_write(chain, addr, b"u", (b"pk", 1, 0), auth)
+        assert not ct.sc_write(chain, addr, [(b"u", b"pk", 1, 0)], auth)
 
     def test_quote_not_bound_to_owner_key_rejected(self, env):
         world, chain, auth_kp, quote = env
@@ -110,9 +111,9 @@ class TestAuth:
         m = encl.measure(PROG, CFG)
         other = sc.session_keygen(b"\x14" * 32)
         stray = encl.attest_quote(world, m, ct.auth_nonce_for(other.pk))
-        payload = ct._write_payload(addr, b"u", b"pk", 1, 0)
+        payload = ct._write_payload(addr, [(b"u", b"pk", 1, 0)])
         auth = ct.make_auth(stray, auth_kp.sk, payload)
-        assert not ct.sc_write(chain, addr, b"u", (b"pk", 1, 0), auth)
+        assert not ct.sc_write(chain, addr, [(b"u", b"pk", 1, 0)], auth)
 
     def test_unallowlisted_enclave_rejected(self, env):
         world, chain, auth_kp, quote = env
@@ -125,21 +126,100 @@ class TestAuth:
     def test_auth_not_transferable_across_payloads(self, env):
         _, chain, auth_kp, quote = env
         addr = deploy(chain, auth_kp, quote)
-        payload = ct._write_payload(addr, b"u", b"pk", 1, 0)
+        payload = ct._write_payload(addr, [(b"u", b"pk", 1, 0)])
         auth = ct.make_auth(quote, auth_kp.sk, payload)
-        assert ct.sc_write(chain, addr, b"u", (b"pk", 1, 0), auth)
+        assert ct.sc_write(chain, addr, [(b"u", b"pk", 1, 0)], auth)
         # same token replayed for a different value must fail
-        assert not ct.sc_write(chain, addr, b"u", (b"pk", 99, 0), auth)
+        assert not ct.sc_write(chain, addr, [(b"u", b"pk", 99, 0)], auth)
 
     def test_negative_values_rejected(self, env):
         # value validation precedes auth, so any token will do here
         _, chain, auth_kp, quote = env
         addr = deploy(chain, auth_kp, quote)
         token = ct.make_auth(quote, auth_kp.sk, b"irrelevant")
-        assert not ct.sc_write(chain, addr, b"u", (b"pk", -1, 0), token)
-        assert not ct.sc_write(chain, addr, b"u", (b"pk", 0, -5), token)
-        assert not ct.sc_write(chain, addr, b"u", ("not-bytes", 1, 0), token)
-        assert not ct.sc_write(chain, addr, b"u", (b"pk", 1), token)
+        assert not ct.sc_write(chain, addr, [(b"u", b"pk", -1, 0)], token)
+        assert not ct.sc_write(chain, addr, [(b"u", b"pk", 0, -5)], token)
+        assert not ct.sc_write(chain, addr, [(b"u", "not-bytes", 1, 0)], token)
+        assert not ct.sc_write(chain, addr, [(b"u", b"pk", 1)], token)
+
+
+def log_bytes(chain):
+    with open(chain.path, "rb") as fh:
+        return fh.read()
+
+
+class TestAtomicWrite:
+    GOOD = [(b"u0", b"pk-0", 1, 0), (b"u1", b"pk-1", 2, 0)]
+    BAD = {
+        "negative_counter": (b"u2", b"pk-2", -1, 0),
+        "counter_past_uint64": (b"u2", b"pk-2", 1 << 64, 0),
+        "pk_not_bytes": (b"u2", "pk-2", 1, 0),
+        "uid_not_bytes": ("u2", b"pk-2", 1, 0),
+        "repeated_uid": (b"u0", b"pk-0", 7, 7),
+    }
+
+    def test_every_record_lands_in_one_entry(self, env):
+        _, chain, auth_kp, quote = env
+        addr = deploy(chain, auth_kp, quote)
+        assert write(chain, addr, auth_kp, quote, *self.GOOD)
+        assert [(r.uid, r.pk, r.up, r.down) for r in ct.sc_items(chain, addr)] == self.GOOD
+        assert [e["op"] for e in ct.read_log(chain.path)] == ["init", "write"]
+
+    def test_single_record_payload_unchanged(self, env):
+        # the one-record write encodes as it always has, so old logs replay
+        addr = b"\x07" * ct.ADDR_LEN
+        assert ct._write_payload(addr, [(b"u", b"pk", 3, 4)]) == sc.canonical_encode([
+            (sc.TAG_ATOM, b"sc-write"), (sc.TAG_BYTES, addr), (sc.TAG_BYTES, b"u"),
+            (sc.TAG_PUBKEY, b"pk"), (sc.TAG_UINT, sc.enc_uint(3)),
+            (sc.TAG_UINT, sc.enc_uint(4))])
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_one_bad_record_refuses_the_whole_write(self, env, bad):
+        # the token covers the good records, or all of them where they encode
+        _, chain, auth_kp, quote = env
+        addr = deploy(chain, auth_kp, quote)
+        state, log = ct.serialize_state(chain), log_bytes(chain)
+        records = self.GOOD + [self.BAD[bad]]
+        try:
+            payload = ct._write_payload(addr, records)
+        except (TypeError, ValueError):
+            payload = ct._write_payload(addr, self.GOOD)
+        assert not ct.sc_write(chain, addr, records, ct.make_auth(quote, auth_kp.sk, payload))
+        assert ct.serialize_state(chain) == state and log_bytes(chain) == log
+
+    def test_empty_write_refused(self, env):
+        _, chain, auth_kp, quote = env
+        addr = deploy(chain, auth_kp, quote)
+        state, log = ct.serialize_state(chain), log_bytes(chain)
+        assert not write(chain, addr, auth_kp, quote)
+        assert ct.serialize_state(chain) == state and log_bytes(chain) == log
+
+    def test_wrong_auth_refuses_every_record(self, env):
+        _, chain, auth_kp, quote = env
+        addr = deploy(chain, auth_kp, quote)
+        state, log = ct.serialize_state(chain), log_bytes(chain)
+        rogue = sc.session_keygen(b"\x16" * 32)
+        payload = ct._write_payload(addr, self.GOOD)
+        assert not ct.sc_write(chain, addr, self.GOOD, ct.make_auth(quote, rogue.sk, payload))
+        # nor does a token for one record carry the other
+        one = ct.make_auth(quote, auth_kp.sk, ct._write_payload(addr, self.GOOD[:1]))
+        assert not ct.sc_write(chain, addr, self.GOOD, one)
+        assert ct.serialize_state(chain) == state and log_bytes(chain) == log
+
+    @pytest.mark.parametrize("n_fields", [2, 3, 5, 7, 9])
+    def test_write_entry_of_partial_records_is_corrupt(self, env, n_fields):
+        world, chain, auth_kp, quote = env
+        addr = deploy(chain, auth_kp, quote)
+        assert write(chain, addr, auth_kp, quote, *self.GOOD)
+        chain.close()
+        fields = sc.canonical_decode(ct._write_payload(addr, self.GOOD))[:n_fields]
+        entry = {"seq": 3, "op": "write", "addr": addr.hex(),
+                 "payload": sc.canonical_encode(fields).hex(), "auth_fp": "00"}
+        with open(chain.path, "a") as fh:
+            fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+        with pytest.raises(ct.ChainLogCorrupt) as exc:
+            ct.chain_new(world.allowlist, world.hw_root_pk, path=chain.path)
+        assert exc.value.seq == 3
 
 
 class TestPersistence:
@@ -152,9 +232,10 @@ class TestPersistence:
                 addrs.append(deploy(chain, auth_kp, quote, ref=ref))
             else:
                 addr = rng.choice(addrs)
-                uid = b"user-%d" % rng.randrange(10)
-                assert write(chain, addr, auth_kp, quote, uid,
-                             (b"pk-%d" % rng.randrange(4), rng.randrange(1000), rng.randrange(1000)))
+                uids = rng.sample(range(10), rng.randint(1, 3))  # 1-3 records, one entry
+                assert write(chain, addr, auth_kp, quote, *(
+                    (b"user-%d" % u, b"pk-%d" % rng.randrange(4), rng.randrange(1000),
+                     rng.randrange(1000)) for u in uids))
         return addrs
 
     def test_reload_is_byte_identical(self, env, tmp_path):
@@ -167,7 +248,7 @@ class TestPersistence:
         assert ct.state_digest(reloaded) == sc.hash_data(before)
         # and the reloaded chain keeps accepting writes
         addr = next(iter(reloaded.contracts))
-        assert write(reloaded, addr, auth_kp, quote, b"post-reload", (b"pk", 1, 2))
+        assert write(reloaded, addr, auth_kp, quote, (b"post-reload", b"pk", 1, 2))
         reloaded.close()
 
     def test_truncation_detected_at_exact_entry(self, env):
@@ -211,7 +292,7 @@ class TestPersistence:
     def test_read_log_structure(self, env):
         _, chain, auth_kp, quote = env
         addr = deploy(chain, auth_kp, quote)
-        write(chain, addr, auth_kp, quote, b"u", (b"pk", 3, 4))
+        write(chain, addr, auth_kp, quote, (b"u", b"pk", 3, 4))
         chain.close()
         entries = ct.read_log(chain.path)
         assert [e["seq"] for e in entries] == [1, 2]
@@ -223,13 +304,13 @@ def test_state_digest_tracks_content(env):
     _, chain, auth_kp, quote = env
     addr = deploy(chain, auth_kp, quote)
     d0 = ct.state_digest(chain)
-    assert write(chain, addr, auth_kp, quote, b"u", (b"pk", 1, 1))
+    assert write(chain, addr, auth_kp, quote, (b"u", b"pk", 1, 1))
     d1 = ct.state_digest(chain)
     assert d0 != d1
     # failed write leaves the digest untouched
     rogue = sc.session_keygen(b"\x15" * 32)
-    payload = ct._write_payload(addr, b"u", b"pk", 2, 2)
-    assert not ct.sc_write(chain, addr, b"u", (b"pk", 2, 2),
+    payload = ct._write_payload(addr, [(b"u", b"pk", 2, 2)])
+    assert not ct.sc_write(chain, addr, [(b"u", b"pk", 2, 2)],
                            ct.make_auth(env[3], rogue.sk, payload))
     assert ct.state_digest(chain) == d1
 
@@ -237,8 +318,8 @@ def test_state_digest_tracks_content(env):
 def test_sc_items_local_only(env):
     _, chain, auth_kp, quote = env
     a0 = deploy(chain, auth_kp, quote)
-    write(chain, a0, auth_kp, quote, b"u0", (b"pk", 1, 0))
+    write(chain, a0, auth_kp, quote, (b"u0", b"pk", 1, 0))
     a1 = deploy(chain, auth_kp, quote, ref=a0)
-    write(chain, a1, auth_kp, quote, b"u1", (b"pk", 2, 0))
+    write(chain, a1, auth_kp, quote, (b"u1", b"pk", 2, 0))
     assert {r.uid for r in ct.sc_items(chain, a1)} == {b"u1"}
     assert {r.uid for r in ct.sc_items(chain, a0)} == {b"u0"}

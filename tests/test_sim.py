@@ -368,16 +368,16 @@ GOLDEN = scn.Scenario(
 
 GOLDEN_DIGESTS = {
     "PerPiecePolicy": (
-        "e14d13685b6be3b4c8ba027028659954683a6dad625258cae39bfd5be71c2c80",
+        "a73f172bfcf2650890c6ca48e2e48166b0dbd17a550d9fa46d0db6096a3f1996",
         "1aa06350c2980cc8237a21a727571afa1aece9c4954ec9ebadd3bc9454a42745"),
     "AdaptivePolicy": (
-        "2eb5ab2aacd2c2f6f2833369e00bf52535adea03aa861f1ce548308f7e54f655",
+        "8449b372b846f72b189c019b5c9fd60af57be96e3386b52a13b729294fe75f3e",
         "1bdad527f7f59bad04bf3d5463033ea7ebc67d233f8292b348c12a3860e5e506"),
     "BatchPolicy": (
-        "46023f0e7eba707322690f4e3161f01ccd990cfda721f79e3e0b2240273468c3",
+        "c665a5823ddf55729a164074c86277b8ce49ff0d0309e45a84a7d3f12e070488",
         "d13a117b0bef7342193d586879fdbc32a8f33311d0dd5ba63cd007ab58249fc7"),
     "SessionPolicy": (
-        "c4094593265dd4b9408aeb85679c61fa20683e5983f19003e65e253ddd0d8c54",
+        "315262c8dddfb31d7348d9a641414bcf017f4269866745c971ca8bccd1a02c92",
         "a56b888f57198dfb2fef07a035bfa89ab21e52593e4f539749ea233f67471ccc"),
 }
 

@@ -35,23 +35,29 @@ def test_rep_ratio():
 
 
 class Env:
-    def __init__(self, min_rep=Fraction(1, 2), init_credit=4096, users=4, epoch=None):
+    def __init__(self, min_rep=Fraction(1, 2), init_credit=4096, users=4, epoch=None,
+                 chain_path=None):
         self.world = encl.world_new(seed=55)
         self.world.allowlist.add(encl.measure(PROG, CFG))
-        self.chain = ct.chain_new(self.world.allowlist, self.world.hw_root_pk)
+        self.chain = ct.chain_new(self.world.allowlist, self.world.hw_root_pk, chain_path)
         self.pp = tr.setup(128, min_rep, init_credit, random.Random(9))
         self.t = tr.Tracker.launch(self.world, self.chain, self.pp, PROG, CFG, epoch=epoch)
         assert self.t is not None
         self.users = []
-        for i in range(users):
-            kp = sc.keygen(bytes([0x40 + i]) * 32)
-            uid = b"u%d" % i
-            assert self.t.register(uid, kp.pk, self.reg_sig(kp, uid))
-            self.users.append((uid, kp))
+        for _ in range(users):
+            self.join()
         self.contents = [sc.hash_data(b"tracker-piece-%d" % i) for i in range(12)]
         self.meta = at.make_torrent(
             "swarm", [sc.hash_data(c) for c in self.contents], 700, length=700 * 12 - 30)
         self.t.add_torrent(self.meta)
+
+    def join(self):
+        """Register the next user, u<i>."""
+        i = len(self.users)
+        kp = sc.keygen(bytes([0x40 + i]) * 32)
+        uid = b"u%d" % i
+        assert self.t.register(uid, kp.pk, self.reg_sig(kp, uid))
+        self.users.append((uid, kp))
 
     def reg_sig(self, kp, uid):
         return sc.sign(kp.sk, tr.register_msg(self.pp.iid, uid))
@@ -478,6 +484,31 @@ def test_refused_write_spends_no_receipt(env, kind):
     assert ct.sc_read(env.chain, env.t.addr, b"u0").up == 4096 + 6 * 700
     for uid in (b"u1", b"u2", b"u3"):
         assert ct.sc_read(env.chain, env.t.addr, uid).down == 2 * 700
+
+
+def test_chain_log_cut_at_any_entry_replays_to_a_whole_request(tmp_path):
+    """Each request is one log entry, so a crash between any two appends
+    leaves a log that replays to the state after some whole request: never
+    a reporter credited and a downloader not."""
+    path = tmp_path / "chain.log"
+    env = Env(users=0, chain_path=str(path))
+    whole = {ct.state_digest(ct.chain_new(env.world.allowlist, env.world.hw_root_pk)),
+             ct.state_digest(env.chain)}
+    for _ in range(4):
+        env.join()
+        whole.add(ct.state_digest(env.chain))
+    for kind in KINDS:  # each credits three downloaders
+        assert getattr(env.t, kind)(make_report(env, kind), NOW)
+        whole.add(ct.state_digest(env.chain))
+    env.chain.close()
+    lines = path.read_bytes().splitlines(keepends=True)
+    for cut in range(len(lines) + 1):
+        copy = tmp_path / ("cut-%d.log" % cut)
+        copy.write_bytes(b"".join(lines[:cut]))
+        chain = ct.chain_new(env.world.allowlist, env.world.hw_root_pk, str(copy))
+        assert ct.state_digest(chain) in whole, cut
+        chain.close()
+    assert len(lines) == 1 + 4 + len(KINDS)
 
 
 # ---------------------------------------------------------------------------
