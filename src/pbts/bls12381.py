@@ -35,8 +35,13 @@ Performance notes, since this runs on CPython:
 * the final exponentiation computes e(P,Q)^(3*lambda) via the
   Hayashida-Hayasaka-Teruya decomposition; a fixed cube of the ate pairing is
   still a bilinear non-degenerate pairing because gcd(3, r) = 1;
-* multiplication by |z| (cofactor clearing, the G2 subgroup check) runs a
-  fixed chain of 63 doublings and 5 additions in Jacobian coordinates;
+* G2 has one group law, the Miller loop's doubling and addition steps.  The
+  next T a step yields never reads the evaluation point P, so scalar
+  multiplication, cofactor clearing and the subgroup check pass a zero P
+  and discard the line.  One mixed-addition wrapper handles what a Miller
+  loop never meets (infinity, T == Q), so the law is complete on the whole
+  twist: the subgroup check runs on attacker-chosen points.  Multiplication
+  by |z| is a fixed chain of 63 doublings and 5 additions;
 * endomorphism constants (G1 cube-root map, G2 untwist-Frobenius-twist) are
   derived algebraically at import and sanity-checked against scalar
   multiplication on the generators, so there are no hand-copied magic tables
@@ -378,7 +383,9 @@ def g1_mul_gen(k):
 
 
 # ---------------------------------------------------------------------------
-# G2: points on the twist  y^2 = x^3 + 4(1+u)  over Fq2
+# G2: points on the twist  y^2 = x^3 + 4(1+u)  over Fq2.  Affine points are
+# ((x0, x1), (y0, y1)) tuples, None = infinity; projective points are the
+# Miller loop's flat (X0, X1, Y0, Y1, Z0, Z1) for (X/Z, Y/Z), Z = 0 infinity.
 
 def g2_is_on_curve(pt):
     if pt is None:
@@ -389,225 +396,6 @@ def g2_is_on_curve(pt):
 
 def g2_neg(pt):
     return None if pt is None else (pt[0], fq2_neg(pt[1]))
-
-
-def _g2_jdbl(pt):
-    x1, y1, z1 = pt
-    a = fq2_sq(x1)
-    b = fq2_sq(y1)
-    c = fq2_sq(b)
-    d = fq2_sub(fq2_sq(fq2_add(x1, b)), fq2_add(a, c))
-    d = fq2_add(d, d)
-    e = fq2_add(fq2_add(a, a), a)
-    f = fq2_sq(e)
-    x3 = fq2_sub(f, fq2_add(d, d))
-    c8 = fq2_add(c, c)
-    c8 = fq2_add(c8, c8)
-    c8 = fq2_add(c8, c8)
-    y3 = fq2_sub(fq2_mul(e, fq2_sub(d, x3)), c8)
-    z3 = fq2_mul(y1, z1)
-    z3 = fq2_add(z3, z3)
-    return (x3, y3, z3)
-
-
-def _g2_jadd(p1, p2):
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    if z1 == FQ2_ZERO:
-        return p2
-    if z2 == FQ2_ZERO:
-        return p1
-    z1z1 = fq2_sq(z1)
-    z2z2 = fq2_sq(z2)
-    u1 = fq2_mul(x1, z2z2)
-    u2 = fq2_mul(x2, z1z1)
-    s1 = fq2_mul(fq2_mul(y1, z2z2), z2)
-    s2 = fq2_mul(fq2_mul(y2, z1z1), z1)
-    if u1 == u2:
-        if s1 != s2:
-            return (FQ2_ONE, FQ2_ONE, FQ2_ZERO)
-        return _g2_jdbl(p1)
-    h = fq2_sub(u2, u1)
-    hh = fq2_sq(h)
-    i = fq2_add(hh, hh)
-    i = fq2_add(i, i)
-    j = fq2_mul(h, i)
-    rr = fq2_sub(s2, s1)
-    rr = fq2_add(rr, rr)
-    v = fq2_mul(u1, i)
-    x3 = fq2_sub(fq2_sub(fq2_sq(rr), j), fq2_add(v, v))
-    sj = fq2_mul(s1, j)
-    y3 = fq2_sub(fq2_mul(rr, fq2_sub(v, x3)), fq2_add(sj, sj))
-    z3 = fq2_mul(fq2_sub(fq2_sq(fq2_add(z1, z2)), fq2_add(z1z1, z2z2)), h)
-    return (x3, y3, z3)
-
-
-def _g2_jaff(pt):
-    x, y, z = pt
-    if z == FQ2_ZERO:
-        return None
-    zi = fq2_inv(z)
-    zi2 = fq2_sq(zi)
-    return (fq2_mul(x, zi2), fq2_mul(y, fq2_mul(zi2, zi)))
-
-
-def _g2_jneg(pt):
-    return (pt[0], fq2_neg(pt[1]), pt[2])
-
-
-def _g2_jmul_x(pt):
-    """[X]pt for a Jacobian pt along the fixed bits of |z|.
-
-    |z| has Hamming weight 6, so this is 63 doublings and 5 additions, with
-    no wNAF table and no inversion.
-    """
-    acc = pt
-    for bit in _X_BITS:
-        acc = _g2_jdbl(acc)
-        if bit:
-            acc = _g2_jadd(acc, pt)
-    return acc
-
-
-def g2_mul(pt, k):
-    if pt is None or k == 0:
-        return None
-    if k < 0:
-        pt = g2_neg(pt)
-        k = -k
-    base = (pt[0], pt[1], FQ2_ONE)
-    dbl = _g2_jdbl(base)
-    table = [base]
-    for _ in range(7):
-        table.append(_g2_jadd(table[-1], dbl))
-    acc = (FQ2_ONE, FQ2_ONE, FQ2_ZERO)
-    for d in reversed(wei.wnaf(k)):
-        acc = _g2_jdbl(acc)
-        if d > 0:
-            acc = _g2_jadd(acc, table[d >> 1])
-        elif d < 0:
-            tx, ty, tz = table[-d >> 1]
-            acc = _g2_jadd(acc, (tx, fq2_neg(ty), tz))
-    return _g2_jaff(acc)
-
-
-def g2_add(p1, p2):
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    return _g2_jaff(_g2_jadd((p1[0], p1[1], FQ2_ONE), (p2[0], p2[1], FQ2_ONE)))
-
-
-# ---------------------------------------------------------------------------
-# endomorphisms (for fast subgroup checks and cofactor clearing)
-#
-# psi = twist o Frobenius o untwist:  psi(x, y) = (cx * conj(x), cy * conj(y))
-# with cx = xi^(-(p-1)/3), cy = xi^(-(p-1)/2); on G2 it acts as [z].
-_PSI_CX = fq2_inv(fq2_pow(XI, (P - 1) // 3))
-_PSI_CY = fq2_inv(fq2_pow(XI, (P - 1) // 2))
-
-
-def _g2_jpsi(pt):
-    # conjugation is a field automorphism, so psi maps Z to conj(Z)
-    x, y, z = pt
-    return (fq2_mul(_PSI_CX, fq2_conj(x)), fq2_mul(_PSI_CY, fq2_conj(y)), fq2_conj(z))
-
-
-# G1 cube-root endomorphism phi(x, y) = (beta * x, y) acts as [lambda] on G1
-# with lambda = z^2 - 1 (since r = z^4 - z^2 + 1).  beta is whichever
-# nontrivial cube root of unity matches on the generator.
-def _select_beta():
-    s = fq_sqrt(-3 % P)
-    lam = X * X - 1
-    want = g1_mul(G1_GEN, lam)
-    for beta in ((-1 + s) * _INV2 % P, (-1 - s) * _INV2 % P):
-        if (beta * G1_GEN[0] % P, G1_GEN[1]) == want:
-            return beta
-    raise AssertionError("no cube root of unity matches [z^2-1] on G1")
-
-
-_BETA = _select_beta()
-_LAMBDA = X * X - 1
-
-
-def g1_in_subgroup(pt):
-    if pt is None:
-        return True
-    if not g1_is_on_curve(pt):
-        return False
-    return (pt[0] * _BETA % P, pt[1]) == g1_mul(pt, _LAMBDA)
-
-
-def _check_psi():
-    # psi should act as [z] (z negative) on the r-order subgroup
-    q = G2_GEN
-    want = g2_neg(g2_mul(q, X))
-    return _g2_jaff(_g2_jpsi((q[0], q[1], FQ2_ONE))) == want
-
-
-if not _check_psi():  # pragma: no cover - import-time consistency gate
-    raise AssertionError("psi endomorphism constants are inconsistent")
-
-
-def g2_in_subgroup(pt):
-    """psi(P) == [z]P = -[|z|]P, compared projectively (no inversion)."""
-    if pt is None:
-        return True
-    if not g2_is_on_curve(pt):
-        return False
-    p = (pt[0], pt[1], FQ2_ONE)
-    x, y, z = _g2_jmul_x(p)
-    if z == FQ2_ZERO:
-        return False
-    px, py, _ = _g2_jpsi(p)
-    zz = fq2_sq(z)
-    return fq2_mul(px, zz) == x and fq2_mul(py, fq2_mul(zz, z)) == fq2_neg(y)
-
-
-def g2_clear_cofactor(*pts):
-    """Map the sum of the given points on the twist into the r-order subgroup.
-
-    Budroni-Pintore:  [z^2 - z - 1]P + [z - 1]psi(P) + psi(psi(2P)), in the
-    order of RFC 9380 (appendix G.3): two [z] chains in Jacobian coordinates
-    and one inversion at the end (z is negative: [z]P = -[|z|]P).  Clearing
-    is a group homomorphism, so clear(P + Q) == clear(P) + clear(Q); the sum
-    P is taken in Jacobian coordinates too, so k points cost one inversion.
-    """
-    p = (FQ2_ONE, FQ2_ONE, FQ2_ZERO)
-    for pt in pts:
-        if pt is not None:
-            p = _g2_jadd(p, (pt[0], pt[1], FQ2_ONE))
-    if p[2] == FQ2_ZERO:
-        return None
-    t1 = _g2_jneg(_g2_jmul_x(p))  # [z]P
-    t2 = _g2_jpsi(p)  # psi(P)
-    t3 = _g2_jadd(_g2_jpsi(_g2_jpsi(_g2_jdbl(p))), _g2_jneg(t2))  # psi^2(2P) - psi(P)
-    t2 = _g2_jneg(_g2_jmul_x(_g2_jadd(t1, t2)))  # [z^2]P + [z]psi(P)
-    t3 = _g2_jadd(_g2_jadd(t3, t2), _g2_jneg(t1))
-    return _g2_jaff(_g2_jadd(t3, _g2_jneg(p)))
-
-
-def _check_clear_cofactor():
-    # a fixed non-subgroup curve point: x = small counter until x^3+b is square
-    x = (_ONE, _ZERO)
-    while True:
-        rhs = fq2_add(fq2_mul(fq2_sq(x), x), B2)
-        y = fq2_sqrt(rhs)
-        if y is not None:
-            pt = (x, y)
-            break
-        x = (x[0] + 1, _ZERO)
-    q = g2_clear_cofactor(pt)
-    return q is not None and g2_mul(q, R) is None and g2_in_subgroup(q)
-
-
-if not _check_clear_cofactor():  # pragma: no cover - import-time gate
-    raise AssertionError("cofactor clearing does not land in G2")
-
-
-# ---------------------------------------------------------------------------
-# pairing
 
 
 def _double(t, nx3, yp):
@@ -656,6 +444,182 @@ def _add(t, q, nx, yp):
              (t0 * qx0 - t1 * qx1 - l0 * qy0 + l1 * qy1) % P,
              (t0 * qx1 + t1 * qx0 - l0 * qy1 - l1 * qy0) % P,
              t0 * nx % P, t1 * nx % P))
+
+
+_G2_INF = (_ZERO, _ZERO, _ONE, _ZERO, _ZERO, _ZERO)
+
+
+def _g2_madd(t, q):
+    """t + q for projective t and affine q, complete on the whole twist.
+
+    ``_add`` alone misses what a Miller loop never meets: t at infinity, and
+    t == q, where its output is all zero.  t == -q already comes out with
+    Z = 0.
+    """
+    if q is None:
+        return t
+    if not (t[4] or t[5]):
+        return (*q[0], *q[1], _ONE, _ZERO)
+    s = _add(t, q, 0, 0)[0]
+    return s if any(s) else _double(t, 0, 0)[0]
+
+
+def _g2_sum(pts, acc=_G2_INF):
+    """acc plus the sum of affine points (None = infinity), projective: no
+    inversion."""
+    for pt in pts:
+        acc = _g2_madd(acc, pt)
+    return acc
+
+
+def _g2_affine(t):
+    x0, x1, y0, y1, z0, z1 = t
+    if not (z0 or z1):
+        return None
+    zi = fq2_inv((z0, z1))
+    return (fq2_mul((x0, x1), zi), fq2_mul((y0, y1), zi))
+
+
+def _g2_mul_x(pt):
+    """[X]pt, projective, for affine pt along the fixed bits of |z|.
+
+    |z| has Hamming weight 6, so this is 63 doublings and 5 additions, with
+    no wNAF table and no inversion.
+    """
+    acc = _g2_madd(_G2_INF, pt)
+    for bit in _X_BITS:
+        acc = _double(acc, 0, 0)[0]
+        if bit:
+            acc = _g2_madd(acc, pt)
+    return acc
+
+
+def g2_mul(pt, k):
+    """k * pt for affine pt (k any int); returns affine or None.  Width-5
+    wNAF over an affine table of odd multiples (8 inversions), laid out as
+    ``weierstrass.odd_multiples`` lays out its own."""
+    if pt is None or k == 0:
+        return None
+    if k < 0:
+        pt = g2_neg(pt)
+        k = -k
+    two = g2_add(pt, pt)
+    pos = [pt]
+    for _ in range(7):
+        pos.append(g2_add(pos[-1], two))
+    table = pos + [g2_neg(q) for q in reversed(pos)]
+    acc = _G2_INF
+    for d in reversed(wei.wnaf(k)):
+        acc = _double(acc, 0, 0)[0]
+        if d:
+            acc = _g2_madd(acc, table[d >> 1])
+    return _g2_affine(acc)
+
+
+def g2_add(p1, p2):
+    return _g2_affine(_g2_sum((p1, p2)))
+
+
+# ---------------------------------------------------------------------------
+# endomorphisms (for fast subgroup checks and cofactor clearing)
+#
+# psi = twist o Frobenius o untwist:  psi(x, y) = (cx * conj(x), cy * conj(y))
+# with cx = xi^(-(p-1)/3), cy = xi^(-(p-1)/2); on G2 it acts as [z].
+_PSI_CX = fq2_inv(fq2_pow(XI, (P - 1) // 3))
+_PSI_CY = fq2_inv(fq2_pow(XI, (P - 1) // 2))
+
+
+def _g2_psi(pt):
+    x, y = pt
+    return (fq2_mul(_PSI_CX, fq2_conj(x)), fq2_mul(_PSI_CY, fq2_conj(y)))
+
+
+# G1 cube-root endomorphism phi(x, y) = (beta * x, y) acts as [lambda] on G1
+# with lambda = z^2 - 1 (since r = z^4 - z^2 + 1).  beta is whichever
+# nontrivial cube root of unity matches on the generator.
+def _select_beta():
+    s = fq_sqrt(-3 % P)
+    lam = X * X - 1
+    want = g1_mul(G1_GEN, lam)
+    for beta in ((-1 + s) * _INV2 % P, (-1 - s) * _INV2 % P):
+        if (beta * G1_GEN[0] % P, G1_GEN[1]) == want:
+            return beta
+    raise AssertionError("no cube root of unity matches [z^2-1] on G1")
+
+
+_BETA = _select_beta()
+_LAMBDA = X * X - 1
+
+
+def g1_in_subgroup(pt):
+    if pt is None:
+        return True
+    if not g1_is_on_curve(pt):
+        return False
+    return (pt[0] * _BETA % P, pt[1]) == g1_mul(pt, _LAMBDA)
+
+
+# psi should act as [z] (z negative) on the r-order subgroup
+if _g2_psi(G2_GEN) != g2_neg(g2_mul(G2_GEN, X)):  # pragma: no cover - import-time gate
+    raise AssertionError("psi endomorphism constants are inconsistent")
+
+
+def g2_in_subgroup(pt):
+    """psi(P) == [z]P = -[|z|]P, compared projectively (no inversion)."""
+    if pt is None:
+        return True
+    if not g2_is_on_curve(pt):
+        return False
+    x0, x1, y0, y1, z0, z1 = _g2_mul_x(pt)
+    if not (z0 or z1):
+        return False
+    px, py = _g2_psi(pt)
+    return fq2_mul(px, (z0, z1)) == (x0, x1) and fq2_mul(py, (z0, z1)) == fq2_neg((y0, y1))
+
+
+def g2_clear_cofactor(*pts):
+    """Map the sum of the given points on the twist into the r-order subgroup.
+
+    Budroni-Pintore:  [z^2 - z - 1]P + [z - 1]psi(P) + psi(psi(2P)), as two
+    [z] chains (z is negative: [z]P = -[|z|]P).  The second chain runs from
+    [z]P, since [z^2]P + [z]psi(P) = [z]([z]P) + psi([z]P): psi is a group
+    endomorphism, so it commutes with [z].  Each chain starts from an affine
+    point, and |z| is prime to the twist's order, so [z]P is not infinity.
+    Clearing is a group homomorphism, so clear(P + Q) == clear(P) + clear(Q);
+    the sum P is taken projectively, so k points cost no more inversions
+    than one.
+    """
+    p = _g2_affine(_g2_sum(pts))
+    if p is None:
+        return None
+    t1 = g2_neg(_g2_affine(_g2_mul_x(p)))  # [z]P
+    t2 = _g2_psi(p)  # psi(P)
+    pp = g2_neg(_g2_psi(t2))  # -psi^2(P), added twice for -psi^2(2P)
+    # the negated result: [|z|][z]P - psi([z]P) - psi^2(2P) + psi(P) + [z]P + P
+    rest = (g2_neg(_g2_psi(t1)), pp, pp, t2, t1, p)
+    return g2_neg(_g2_affine(_g2_sum(rest, _g2_mul_x(t1))))
+
+
+def _check_clear_cofactor():
+    # a fixed non-subgroup curve point: x = small counter until x^3+b is square
+    x = (_ONE, _ZERO)
+    while True:
+        rhs = fq2_add(fq2_mul(fq2_sq(x), x), B2)
+        y = fq2_sqrt(rhs)
+        if y is not None:
+            pt = (x, y)
+            break
+        x = (x[0] + 1, _ZERO)
+    q = g2_clear_cofactor(pt)
+    return q is not None and g2_mul(q, R) is None and g2_in_subgroup(q)
+
+
+if not _check_clear_cofactor():  # pragma: no cover - import-time gate
+    raise AssertionError("cofactor clearing does not land in G2")
+
+
+# ---------------------------------------------------------------------------
+# pairing
 
 
 def _miller_loop(pairs):

@@ -163,17 +163,20 @@ def chain_new(allowlist, hw_root_pk: bytes, path: str | None = None) -> Chain:
     return chain
 
 
-def _replay(chain: Chain, path: str) -> None:
+def _log_entries(path: str):
+    """The one parser of a log file: yields (entry dict, op, addr, payload)
+    per line, in seq order; raises ChainLogCorrupt at the first entry that does
+    not parse or is out of sequence."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    expect = 0
     for line in raw.split(b"\n"):
         if line == b"":
             continue
-        expect = chain._seq + 1
+        expect += 1
         try:
             entry = json.loads(line)
-            seq = entry["seq"]
-            op = entry["op"]
+            seq, op = entry["seq"], entry["op"]
             addr = bytes.fromhex(entry["addr"])
             payload = bytes.fromhex(entry["payload"])
             bytes.fromhex(entry["auth_fp"])
@@ -181,8 +184,13 @@ def _replay(chain: Chain, path: str) -> None:
             raise ChainLogCorrupt(expect, f"unparseable entry ({exc.__class__.__name__})")
         if seq != expect:
             raise ChainLogCorrupt(expect, f"sequence number {seq} where {expect} expected")
-        _apply_logged(chain, op, addr, payload, expect)
-        chain._seq = expect
+        yield entry, op, addr, payload
+
+
+def _replay(chain: Chain, path: str) -> None:
+    for entry, op, addr, payload in _log_entries(path):
+        _apply_logged(chain, op, addr, payload, entry["seq"])
+        chain._seq = entry["seq"]
 
 
 def _apply_logged(chain: Chain, op: str, addr: bytes, payload: bytes, seq: int) -> None:
@@ -274,18 +282,6 @@ def get_referrer(chain: Chain, addr: bytes):
         raise ChainError(f"unknown contract {addr.hex()}")
 
 
-def sc_items(chain: Chain, addr: bytes):
-    """Local records of one contract (no referrer hop), as ReputationRecords."""
-    try:
-        contract = chain.contracts[addr]
-    except KeyError:
-        raise ChainError(f"unknown contract {addr.hex()}")
-    return [
-        ReputationRecord(uid=uid, pk=pk, up=up, down=down)
-        for uid, (pk, up, down) in contract.data.items()
-    ]
-
-
 def serialize_state(chain: Chain) -> bytes:
     """Canonical byte serialization of all contract state (for equality and
     digest checks; independent of log or file-handle details)."""
@@ -311,11 +307,6 @@ def state_digest(chain: Chain) -> bytes:
 
 
 def read_log(path: str):
-    """Parse a chain log file into entry dicts (used by the CLI dump)."""
-    entries = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries
+    """A chain log file's entry dicts (used by the CLI dump); raises
+    ChainLogCorrupt as replay would."""
+    return [entry for entry, *_ in _log_entries(path)]

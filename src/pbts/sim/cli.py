@@ -150,6 +150,9 @@ def cmd_chain(args) -> int:
     except OSError as e:
         print(f"cannot read chain log: {e}", file=sys.stderr)
         return 1
+    except ct.ChainLogCorrupt as e:
+        print(e, file=sys.stderr)
+        return 1
     for e in entries:
         print(json.dumps(e, sort_keys=True, separators=(",", ":")))
     return 0

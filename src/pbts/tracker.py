@@ -239,7 +239,6 @@ class Tracker:
     sample_cap: int = DEFAULT_SAMPLE_CAP
     swarms: dict = field(default_factory=dict)    # tid -> {pk: (ip, port)}
     torrents: dict = field(default_factory=dict)  # infohash -> TorrentMeta
-    index: dict = field(default_factory=dict)     # pk -> uid
     recent: dict = field(default_factory=dict)    # ReceiptID -> insertion epoch
     rng: random.Random = field(default_factory=random.Random)
 
@@ -267,7 +266,7 @@ class Tracker:
         )
         if addr is None:
             return None
-        tracker = cls(
+        return cls(
             pp=pp,
             epoch=epoch or at.EpochParams(),
             world=world,
@@ -279,10 +278,6 @@ class Tracker:
             sample_cap=sample_cap,
             rng=random.Random(int.from_bytes(sc.hash_data(root.key.sk + pp.iid)[:8], "big")),
         )
-        if ref_addr is not None:
-            for rec in ct.sc_items(chain, ref_addr):
-                tracker.index[rec.pk] = rec.uid
-        return tracker
 
     def add_torrent(self, meta: at.TorrentMeta) -> None:
         self.torrents[meta.infohash] = meta
@@ -291,7 +286,11 @@ class Tracker:
         """One attested contract write of (uid, pk, up, down) and of each
         further such record in *more*: all of them land, or none does."""
         records = [(uid, pk, up, down), *more]
-        auth = ct.make_auth(self.quote, self.auth.sk, ct._write_payload(self.addr, records))
+        try:
+            payload = ct._write_payload(self.addr, records)
+        except (TypeError, ValueError):
+            return False  # a record the contract cannot carry: a counter >= 2^64
+        auth = ct.make_auth(self.quote, self.auth.sk, payload)
         return ct.sc_write(self.chain, self.addr, records, auth)
 
     # -- user-facing operations ---------------------------------------------
@@ -304,10 +303,7 @@ class Tracker:
             return False
         if ct.sc_read(self.chain, self.addr, uid) is not None:
             return False
-        if not self._write(uid, pk, self.pp.init_credit, 0):
-            return False
-        self.index[pk] = uid
-        return True
+        return self._write(uid, pk, self.pp.init_credit, 0)
 
     def announce(self, uid: bytes, pk: bytes, sig: bytes, tid: bytes, event: str,
                  ip: str, port: int, rng: random.Random | None = None):
@@ -328,12 +324,11 @@ class Tracker:
         return self._admit(payload, now, self._batch_claims)
 
     def _resolve(self, pk: bytes, uid: bytes):
-        """Downloader resolution goes through the in-enclave index; the
-        payload's uid is cross-checked, not trusted."""
-        known = self.index.get(pk)
-        if known is None or known != uid:
-            return None
-        return ct.sc_read(self.chain, self.addr, uid)
+        """uid's record on chain if it holds *pk*, else None: the identity
+        rule of ``admit_announce``, so a key registered under two uids acts
+        as either."""
+        record = ct.sc_read(self.chain, self.addr, uid)
+        return record if record is not None and record.pk == pk else None
 
     def _admit(self, p, now: int, expand) -> bool:
         """The one admission pipeline of every report kind: credit the report,

@@ -85,6 +85,16 @@ class TestChainDump:
         assert cli.main(["chain", "dump", str(log)]) == 0
         assert capsys.readouterr().out.strip()
 
+    def test_torn_log_is_reported_with_its_seq(self, scenario_file, tmp_path, capsys):
+        log = tmp_path / "torn-chain.log"
+        assert cli.main(["run", scenario_file, "--chain", str(log)]) == 0
+        capsys.readouterr()
+        lines = log.read_bytes().splitlines(keepends=True)
+        log.write_bytes(b"".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+        assert cli.main(["chain", "dump", str(log)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "chain log corrupt at seq 3" in err
+
     def test_missing_file_is_an_io_error(self, tmp_path, capsys):
         assert cli.main(["chain", "dump", "--chain",
                          str(tmp_path / "nope.log")]) == 1

@@ -162,7 +162,8 @@ class TestAtomicWrite:
         _, chain, auth_kp, quote = env
         addr = deploy(chain, auth_kp, quote)
         assert write(chain, addr, auth_kp, quote, *self.GOOD)
-        assert [(r.uid, r.pk, r.up, r.down) for r in ct.sc_items(chain, addr)] == self.GOOD
+        recs = [ct.sc_read(chain, addr, uid) for uid, *_ in self.GOOD]
+        assert [(r.uid, r.pk, r.up, r.down) for r in recs] == self.GOOD
         assert [e["op"] for e in ct.read_log(chain.path)] == ["init", "write"]
 
     def test_single_record_payload_unchanged(self, env):
@@ -264,6 +265,9 @@ class TestPersistence:
         with pytest.raises(ct.ChainLogCorrupt) as exc:
             ct.chain_new(world.allowlist, world.hw_root_pk, path=chain.path)
         assert exc.value.seq == cut + 1
+        with pytest.raises(ct.ChainLogCorrupt) as exc:
+            ct.read_log(chain.path)
+        assert exc.value.seq == cut + 1
 
     def test_seq_gap_detected(self, env):
         world, chain, auth_kp, quote = env
@@ -315,11 +319,11 @@ def test_state_digest_tracks_content(env):
     assert ct.state_digest(chain) == d1
 
 
-def test_sc_items_local_only(env):
+def test_successor_records_stay_out_of_the_referrer(env):
     _, chain, auth_kp, quote = env
     a0 = deploy(chain, auth_kp, quote)
     write(chain, a0, auth_kp, quote, (b"u0", b"pk", 1, 0))
     a1 = deploy(chain, auth_kp, quote, ref=a0)
     write(chain, a1, auth_kp, quote, (b"u1", b"pk", 2, 0))
-    assert {r.uid for r in ct.sc_items(chain, a1)} == {b"u1"}
-    assert {r.uid for r in ct.sc_items(chain, a0)} == {b"u0"}
+    assert ct.sc_read(chain, a1, b"u1").up == 2 and ct.sc_read(chain, a1, b"u0").up == 1
+    assert ct.sc_read(chain, a0, b"u1") is None and ct.sc_read(chain, a0, b"u0").up == 1

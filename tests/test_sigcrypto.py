@@ -304,7 +304,7 @@ class TestHashToCurveSplit:
         # subgroup points and non-subgroup twist points alike
         for pt in (bls.G2_GEN, bls.hash_to_g2(b"split-a"),
                    bls.map_to_curve(b"split-a"), bls.map_to_curve(b"split-b")):
-            chained = bls._g2_jaff(bls._g2_jmul_x((pt[0], pt[1], bls.FQ2_ONE)))
+            chained = bls._g2_affine(bls._g2_mul_x(pt))
             assert chained == bls.g2_mul(pt, bls.X)
 
     def test_cyclotomic_squaring_matches_generic(self):
@@ -458,6 +458,102 @@ class TestG1Subgroup:
         for pk in self.outside_keys():
             assert not tracker.register(b"u", pk, sig)
         assert tracker.register(b"u", self.KP.pk, sig)
+
+
+def _ref_g2_add(a, b):
+    """Affine chord-and-tangent addition on the twist; None is infinity."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    (x1, y1), (x2, y2) = a, b
+    if x1 == x2:
+        if bls.fq2_add(y1, y2) == bls.FQ2_ZERO:
+            return None
+        lam = bls.fq2_mul(bls.fq2_scale(bls.fq2_sq(x1), 3), bls.fq2_inv(bls.fq2_add(y1, y1)))
+    else:
+        lam = bls.fq2_mul(bls.fq2_sub(y2, y1), bls.fq2_inv(bls.fq2_sub(x2, x1)))
+    x3 = bls.fq2_sub(bls.fq2_sub(bls.fq2_sq(lam), x1), x2)
+    return (x3, bls.fq2_sub(bls.fq2_mul(lam, bls.fq2_sub(x1, x3)), y1))
+
+
+def _ref_g2_mul(pt, k):
+    """k * pt by affine double-and-add."""
+    if k < 0:
+        pt, k = bls.g2_neg(pt), -k
+    acc = None
+    for bit in bin(k)[2:]:
+        acc = _ref_g2_add(acc, acc)
+        if bit == "1":
+            acc = _ref_g2_add(acc, pt)
+    return acc
+
+
+# the generator, and a twist point outside G2
+G2_LAW_POINTS = (bls.G2_GEN, bls.map_to_curve(b"g2-law"))
+
+
+class TestG2GroupLaw:
+    """The Miller loop's steps, run as the G2 group law, against a naive
+    affine one, on G2 and off it."""
+
+    @pytest.mark.parametrize("pt", G2_LAW_POINTS)
+    def test_add_exceptional_cases(self, pt):
+        assert bls.g2_add(pt, pt) == _ref_g2_add(pt, pt)
+        assert bls.g2_add(pt, bls.g2_neg(pt)) is None
+        assert bls.g2_add(None, pt) == pt and bls.g2_add(pt, None) == pt
+        other = bls.hash_to_g2(b"g2-law-other")
+        assert bls.g2_add(pt, other) == _ref_g2_add(pt, other)
+
+    @pytest.mark.parametrize("pt", G2_LAW_POINTS)
+    @pytest.mark.parametrize("k", [0, 1, -1, 2, int(bls.R) - 1, int(bls.R), int(bls.R) + 1])
+    def test_mul_edge_scalars(self, pt, k):
+        assert bls.g2_mul(pt, k) == _ref_g2_mul(pt, k)
+
+    def test_mul_by_group_order(self):
+        assert bls.g2_mul(bls.G2_GEN, bls.R) is None
+        assert bls.g2_mul(bls.G2_GEN, bls.R + 1) == bls.G2_GEN
+        assert bls.g2_mul(G2_LAW_POINTS[1], bls.R) is not None
+
+    @given(st.sampled_from(G2_LAW_POINTS), st.integers(-(1 << 300), 1 << 300))
+    @settings(max_examples=12, deadline=None, phases=NO_SHRINK)
+    def test_mul_random_scalars(self, pt, k):
+        assert bls.g2_mul(pt, k) == _ref_g2_mul(pt, k)
+
+
+# |z| gives the twist's cofactor h2, and h2 * R is the order of the twist
+# group.  2713 divides h2, so this point has order 2713: it is outside G2,
+# and added to a genuine signature it gives a second encoding, unless
+# decoding checks the subgroup.
+_Z = -int(bls.X)
+H2 = (_Z**8 - 4 * _Z**7 + 5 * _Z**6 - 4 * _Z**4 + 6 * _Z**3 - 4 * _Z**2 - 4 * _Z + 13) // 9
+G2_TORSION = bls.g2_mul(bls.map_to_curve(b"split-a"), H2 * int(bls.R) // 2713)
+
+
+class TestG2Subgroup:
+    KP = sc.keygen(b"\x22" * 32)
+    MSG = b"g2-subgroup"
+
+    def test_torsion_point_has_order_2713(self):
+        assert bls.g2_mul(bls.map_to_curve(b"split-a"), H2 * bls.R) is None
+        assert G2_TORSION is not None and bls.g2_is_on_curve(G2_TORSION)
+        assert bls.g2_mul(G2_TORSION, 2713) is None
+        assert not bls.g2_in_subgroup(G2_TORSION)
+
+    def test_decoding_refuses_points_outside_g2(self):
+        sig = sc.sign(self.KP.sk, self.MSG)
+        shifted = bls.g2_add(bls.g2_from_bytes(sig), G2_TORSION)
+        for pt in (G2_TORSION, shifted):
+            with pytest.raises(ValueError):
+                bls.g2_from_bytes(bls.g2_to_bytes(pt))
+
+    def test_shifted_signature_verifies_nothing(self):
+        sig = sc.sign(self.KP.sk, self.MSG)
+        assert sc.verify(self.KP.pk, self.MSG, sig)
+        forged = bls.g2_to_bytes(bls.g2_add(bls.g2_from_bytes(sig), G2_TORSION))
+        assert not sc.verify(self.KP.pk, self.MSG, forged)
+        assert not sc.aggregate_verify([(self.KP.pk, self.MSG)],
+                                       sc.AggregateSignature(forged, 1))
 
 
 class TestSessionScheme:

@@ -340,7 +340,7 @@ class TestMigrate:
         rec = ct.sc_read(env.chain, new.addr, b"u0")
         assert rec.up == 4096 + 700
 
-    def test_index_rebuilt_for_reports(self, env):
+    def test_reports_resolve_through_the_referrer(self, env):
         new = self.migrate(env)
         new.add_torrent(env.meta)
         r = env.receipt(1, 0, 3)
@@ -484,6 +484,35 @@ def test_refused_write_spends_no_receipt(env, kind):
     assert ct.sc_read(env.chain, env.t.addr, b"u0").up == 4096 + 6 * 700
     for uid in (b"u1", b"u2", b"u3"):
         assert ct.sc_read(env.chain, env.t.addr, uid).down == 2 * 700
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_credit_past_uint64_refused(kind):
+    # the reporter's counter would reach 2^64, which no write can encode
+    env = Env(init_credit=2**64 - 1)
+    payload = make_report(env, kind, HONEST[:1])
+    digest, recent = ct.state_digest(env.chain), dict(env.t.recent)
+    assert not getattr(env.t, kind)(payload, NOW)
+    assert ct.state_digest(env.chain) == digest
+    assert env.t.recent == recent
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_key_under_two_uids_reports_as_either(env, kind):
+    # a uid's identity is its record on chain, as for announces
+    uid0, kp0 = env.users[0]
+    assert env.t.register(b"u0-bis", kp0.pk, env.reg_sig(kp0, b"u0-bis"))
+    env.users.append((b"u0-bis", kp0))  # user 4
+    report = getattr(env.t, kind)
+    assert report(make_report(env, kind, HONEST[:1]), NOW)
+    assert report(dataclasses.replace(make_report(env, kind, HONEST[1:2]), uid=b"u0-bis"), NOW)
+    for uid in (b"u0", b"u0-bis"):
+        assert ct.sc_read(env.chain, env.t.addr, uid).up == 4096 + 2 * 700
+    # crediting the key's other uid is a transfer to oneself
+    digest, recent = ct.state_digest(env.chain), dict(env.t.recent)
+    assert not report(make_report(env, kind, (HONEST[2], tx(4, (8, 9)))), NOW)
+    assert ct.state_digest(env.chain) == digest
+    assert env.t.recent == recent
 
 
 def test_chain_log_cut_at_any_entry_replays_to_a_whole_request(tmp_path):
