@@ -42,6 +42,10 @@ Performance notes, since this runs on CPython:
   loop never meets (infinity, T == Q), so the law is complete on the whole
   twist: the subgroup check runs on attacker-chosen points.  Multiplication
   by |z| is a fixed chain of 63 doublings and 5 additions;
+* ``g2_mul`` is GLS (Galbraith-Lin-Scott, EUROCRYPT 2009): psi acts as [z]
+  on G2, so k mod r splits into four base-|z| digits, and one joint loop over
+  P, psi(P), psi^2(P), psi^3(P) makes ~64 doublings, not 255.  Its input must
+  lie in G2, so the subgroup check and the import-time gates use |z| chains;
 * endomorphism constants (G1 cube-root map, G2 untwist-Frobenius-twist) are
   derived algebraically at import and sanity-checked against scalar
   multiplication on the generators, so there are no hand-copied magic tables
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from itertools import zip_longest
 
 from . import weierstrass as wei
 from .weierstrass import ONE as _ONE, ZERO as _ZERO, inv as _inv, mpz, powmod
@@ -494,28 +499,6 @@ def _g2_mul_x(pt):
     return acc
 
 
-def g2_mul(pt, k):
-    """k * pt for affine pt (k any int); returns affine or None.  Width-5
-    wNAF over an affine table of odd multiples (8 inversions), laid out as
-    ``weierstrass.odd_multiples`` lays out its own."""
-    if pt is None or k == 0:
-        return None
-    if k < 0:
-        pt = g2_neg(pt)
-        k = -k
-    two = g2_add(pt, pt)
-    pos = [pt]
-    for _ in range(7):
-        pos.append(g2_add(pos[-1], two))
-    table = pos + [g2_neg(q) for q in reversed(pos)]
-    acc = _G2_INF
-    for d in reversed(wei.wnaf(k)):
-        acc = _double(acc, 0, 0)[0]
-        if d:
-            acc = _g2_madd(acc, table[d >> 1])
-    return _g2_affine(acc)
-
-
 def g2_add(p1, p2):
     return _g2_affine(_g2_sum((p1, p2)))
 
@@ -532,6 +515,44 @@ _PSI_CY = fq2_inv(fq2_pow(XI, (P - 1) // 2))
 def _g2_psi(pt):
     x, y = pt
     return (fq2_mul(_PSI_CX, fq2_conj(x)), fq2_mul(_PSI_CY, fq2_conj(y)))
+
+
+def g2_mul(pt, k):
+    """k * pt for affine pt (k any int); returns affine or None.
+
+    pt must lie in G2, as every output of ``hash_to_g2`` and
+    ``g2_from_bytes`` does: only there does psi act as [z] = -[X].  With
+    k mod R = d0 + d1*X + d2*X^2 + d3*X^3 (R < X^4), kP is the sum of
+    d_i * (-psi)^i(P), run as one joint width-5 wNAF loop (GLS).
+    """
+    k %= R
+    if pt is None or not k:
+        return None
+    digits = [k // X**i % X for i in range(4)]
+    mults = [None, (*pt[0], *pt[1], _ONE, _ZERO)]  # mults[m] = mP, projective
+    for m in range(2, 16):
+        mults.append(_g2_madd(mults[m - 1], pt) if m & 1 else _double(mults[m >> 1], 0, 0)[0])
+    odd = mults[1::2]
+    prefix = [FQ2_ONE]  # Montgomery's trick: one inversion for all eight Z
+    for t in odd:
+        prefix.append(fq2_mul(prefix[-1], t[4:]))
+    inv = fq2_inv(prefix.pop())
+    row = [None] * 8
+    for i in reversed(range(8)):
+        zi, inv = fq2_mul(inv, prefix[i]), fq2_mul(inv, odd[i][4:])
+        row[i] = (fq2_mul(odd[i][:2], zi), fq2_mul(odd[i][2:4], zi))
+    tables = []  # laid out as ``weierstrass.odd_multiples``: entry d >> 1 is dP
+    for i in range(4):
+        if i:
+            row = [g2_neg(_g2_psi(q)) for q in row]  # [X^i]P = (-psi)^i(P)
+        tables.append(row + [g2_neg(q) for q in reversed(row)])
+    acc = _G2_INF
+    for col in reversed(list(zip_longest(*map(wei.wnaf, digits), fillvalue=0))):
+        acc = _double(acc, 0, 0)[0]
+        for d, table in zip(col, tables):
+            if d:
+                acc = _g2_madd(acc, table[d >> 1])
+    return _g2_affine(acc)
 
 
 # G1 cube-root endomorphism phi(x, y) = (beta * x, y) acts as [lambda] on G1
@@ -559,8 +580,8 @@ def g1_in_subgroup(pt):
     return (pt[0] * _BETA % P, pt[1]) == g1_mul(pt, _LAMBDA)
 
 
-# psi should act as [z] (z negative) on the r-order subgroup
-if _g2_psi(G2_GEN) != g2_neg(g2_mul(G2_GEN, X)):  # pragma: no cover - import-time gate
+# psi should act as [z] (z negative) on the r-order subgroup (g2_mul assumes it)
+if _g2_psi(G2_GEN) != g2_neg(_g2_affine(_g2_mul_x(G2_GEN))):  # pragma: no cover - import-time gate
     raise AssertionError("psi endomorphism constants are inconsistent")
 
 
@@ -611,7 +632,11 @@ def _check_clear_cofactor():
             break
         x = (x[0] + 1, _ZERO)
     q = g2_clear_cofactor(pt)
-    return q is not None and g2_mul(q, R) is None and g2_in_subgroup(q)
+    def mul_x2(p):
+        return _g2_affine(_g2_mul_x(_g2_affine(_g2_mul_x(p))))
+    # [R]q without psi, which g2_mul assumes:  R = X^4 - X^2 + 1
+    rq = g2_add(mul_x2(g2_add(mul_x2(q), g2_neg(q))), q)
+    return q is not None and rq is None and g2_in_subgroup(q)
 
 
 if not _check_clear_cofactor():  # pragma: no cover - import-time gate

@@ -13,8 +13,11 @@ drop probability, an explicit dead set, and per-call counters.  No sockets.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from . import contract as ct
 from . import sigcrypto as sc
@@ -45,6 +48,17 @@ def torrent_key(infohash: bytes) -> bytes:
 
 def xor_distance(a: bytes, b: bytes) -> int:
     return int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+
+
+@lru_cache(maxsize=1 << 14)
+def _id_int(nid: bytes) -> int:
+    return int.from_bytes(nid, "big")
+
+
+def _closest(contacts, key: bytes, count: int):
+    """The *count* contacts nearest to *key*, nearest first."""
+    target = int.from_bytes(key, "big")
+    return heapq.nsmallest(count, contacts, key=lambda c: _id_int(c[0]) ^ target)
 
 
 def announce_record_msg(infohash: bytes, pk: bytes, ip: str, port: int) -> bytes:
@@ -134,11 +148,10 @@ class DhtNode:
             bucket[:] = [c for c in bucket if c[0] != nid]
 
     def contacts(self):
-        for bucket in self.buckets:
-            yield from bucket
+        return itertools.chain.from_iterable(self.buckets)
 
     def closest_contacts(self, key: bytes, count: int):
-        return sorted(self.contacts(), key=lambda c: xor_distance(c[0], key))[:count]
+        return _closest(self.contacts(), key, count)
 
     # -- chain access with staleness/budget knobs ----------------------------
 
@@ -315,26 +328,27 @@ def find_closest(net: DhtNet, node: DhtNode, key: bytes, k: int | None = None):
                 if found[0] not in failed:
                     candidates.setdefault(found[0], tuple(found))
 
-    def ranked():
-        return sorted(candidates.values(), key=lambda c: xor_distance(c[0], key))
-
+    # ranked once per query; contact tuples never change, so equal lists mean equal ids
     rounds = 0
+    best = _closest(candidates.values(), key, k)
     while True:
-        frontier = [c for c in ranked()[:k] if c[0] not in queried]
+        frontier = [c for c in best if c[0] not in queried]
         if not frontier:
             break
         rounds += 1
-        best_before = [c[0] for c in ranked()[:k]]
+        best_before = best
         query(frontier[: net.params.alpha])
-        if [c[0] for c in ranked()[:k]] == best_before:
+        best = _closest(candidates.values(), key, k)
+        if best == best_before:
             # converged: flush the rest of the best-k in one parallel round
-            flush = [c for c in ranked()[:k] if c[0] not in queried]
+            flush = [c for c in best if c[0] not in queried]
             if flush:
                 rounds += 1
                 query(flush)
-            if [c[0] for c in ranked()[:k]] == best_before:
+                best = _closest(candidates.values(), key, k)
+            if best == best_before:
                 break
-    return ranked()[:k], rounds
+    return best, rounds
 
 
 def bootstrap(net: DhtNet, node: DhtNode, bootstrap_addrs) -> int:

@@ -185,9 +185,10 @@ def aggregate_verify(pairs, agg: AggregateSignature) -> bool:
 
     Cost: one Miller pair per distinct signer (plus one for the aggregate)
     and one final exponentiation, however many messages each signer has.
-    Each signer's messages are mapped to the twist, summed in Jacobian
-    coordinates, and cleared into G2 once (one inversion per signer), so the
-    check is prod_i e(pk_i, clear(sum_j map(m_ij))) == e(G1, agg).  That is
+    Each signer's messages are mapped to the twist, summed in homogeneous
+    projective coordinates, and cleared into G2 once (three inversions per
+    signer), so the check is
+    prod_i e(pk_i, clear(sum_j map(m_ij))) == e(G1, agg).  That is
     the per-message product: the pairing is bilinear and cofactor clearing is
     a group homomorphism (Budroni-Pintore, eprint 2017/419).  Aggregates
     over one signer's messages are safe because registration demands proof

@@ -298,14 +298,16 @@ class TestHashToCurveSplit:
         pt = bls.map_to_curve(b"split-a")
         assert bls.g2_is_on_curve(pt)
         assert not bls.g2_in_subgroup(pt)
-        assert bls.g2_mul(pt, bls.R) is not None
+        assert _ref_g2_mul(pt, bls.R) is not None
 
     def test_fixed_chain_matches_generic_mul(self):
-        # subgroup points and non-subgroup twist points alike
-        for pt in (bls.G2_GEN, bls.hash_to_g2(b"split-a"),
-                   bls.map_to_curve(b"split-a"), bls.map_to_curve(b"split-b")):
+        # subgroup points on g2_mul, where [X]P = -psi(P); non-subgroup twist
+        # points on the affine reference, since g2_mul takes G2 points only
+        for pt, mul in ((bls.G2_GEN, bls.g2_mul), (bls.hash_to_g2(b"split-a"), bls.g2_mul),
+                        (bls.map_to_curve(b"split-a"), _ref_g2_mul),
+                        (bls.map_to_curve(b"split-b"), _ref_g2_mul)):
             chained = bls._g2_affine(bls._g2_mul_x(pt))
-            assert chained == bls.g2_mul(pt, bls.X)
+            assert chained == mul(pt, bls.X)
 
     def test_cyclotomic_squaring_matches_generic(self):
         # easy part of the final exponentiation lands in the cyclotomic subgroup
@@ -317,9 +319,11 @@ class TestHashToCurveSplit:
             x = bls.fq12_mul(bls.fq12_cyc_sq(x), c)
 
     def test_subgroup_check_matches_group_order(self):
+        # the reference multiplier, not g2_mul: g2_mul reduces k mod R, so
+        # its [R]P is infinity for every P and witnesses no group order
         for pt in (bls.hash_to_g2(b"split-a"), bls.map_to_curve(b"split-a"),
                    bls.g2_add(bls.hash_to_g2(b"split-b"), bls.map_to_curve(b"split-b"))):
-            assert bls.g2_in_subgroup(pt) == (bls.g2_mul(pt, bls.R) is None)
+            assert bls.g2_in_subgroup(pt) == (_ref_g2_mul(pt, bls.R) is None)
 
 
 # SHA-256 of final_exponentiation(_miller_loop([(G1_GEN, G2_GEN)])), its twelve
@@ -489,8 +493,27 @@ def _ref_g2_mul(pt, k):
     return acc
 
 
-# the generator, and a twist point outside G2
-G2_LAW_POINTS = (bls.G2_GEN, bls.map_to_curve(b"g2-law"))
+def _law_mul(pt, k):
+    """k * pt by double-and-add on the module's projective steps, without
+    GLS, so that it also holds off G2."""
+    if k < 0:
+        pt, k = bls.g2_neg(pt), -k
+    acc = bls._G2_INF
+    for bit in bin(k)[2:]:
+        acc = bls._double(acc, 0, 0)[0]
+        if bit == "1":
+            acc = bls._g2_madd(acc, pt)
+    return bls._g2_affine(acc)
+
+
+# the generator, a twist point outside G2, and a hashed point in G2
+G2_LAW_POINTS = (bls.G2_GEN, bls.map_to_curve(b"g2-law"), bls.hash_to_g2(b"g2-law"))
+
+
+def _law_mul_for(pt):
+    """g2_mul for points of G2; the plain double-and-add law off G2, where
+    g2_mul's GLS split does not hold."""
+    return _law_mul if pt == G2_LAW_POINTS[1] else bls.g2_mul
 
 
 class TestG2GroupLaw:
@@ -508,17 +531,52 @@ class TestG2GroupLaw:
     @pytest.mark.parametrize("pt", G2_LAW_POINTS)
     @pytest.mark.parametrize("k", [0, 1, -1, 2, int(bls.R) - 1, int(bls.R), int(bls.R) + 1])
     def test_mul_edge_scalars(self, pt, k):
-        assert bls.g2_mul(pt, k) == _ref_g2_mul(pt, k)
+        assert _law_mul_for(pt)(pt, k) == _ref_g2_mul(pt, k)
 
     def test_mul_by_group_order(self):
         assert bls.g2_mul(bls.G2_GEN, bls.R) is None
         assert bls.g2_mul(bls.G2_GEN, bls.R + 1) == bls.G2_GEN
-        assert bls.g2_mul(G2_LAW_POINTS[1], bls.R) is not None
+        assert _law_mul(G2_LAW_POINTS[1], bls.R) is not None
 
     @given(st.sampled_from(G2_LAW_POINTS), st.integers(-(1 << 300), 1 << 300))
     @settings(max_examples=12, deadline=None, phases=NO_SHRINK)
     def test_mul_random_scalars(self, pt, k):
+        assert _law_mul_for(pt)(pt, k) == _ref_g2_mul(pt, k)
+
+
+_X, _R = int(bls.X), int(bls.R)
+# base-X digit boundaries of the GLS split, the group order, and negatives
+GLS_SCALARS = ([_X**i + d for i in (1, 2, 3) for d in (-1, 0, 1)]
+               + [_R - 1, _R, _R + 1, -1, -_X, -(_X**3) - 1, -(_R - 1), -_R, -(1 << 300)])
+
+
+class TestG2Gls:
+    """g2_mul splits k mod R into four base-X digits and runs them through
+    psi; the affine double-and-add reference knows nothing of either."""
+
+    PTS = (bls.G2_GEN, bls.hash_to_g2(b"gls"))
+
+    @pytest.mark.parametrize("pt", PTS)
+    @pytest.mark.parametrize("k", GLS_SCALARS)
+    def test_digit_boundaries(self, pt, k):
         assert bls.g2_mul(pt, k) == _ref_g2_mul(pt, k)
+
+    @given(st.sampled_from(PTS), st.integers(-(1 << 300), 1 << 300))
+    @settings(max_examples=12, deadline=None, phases=NO_SHRINK)
+    def test_random_scalars(self, pt, k):
+        assert bls.g2_mul(pt, k) == _ref_g2_mul(pt, k)
+
+    def test_infinity_and_zero(self):
+        assert bls.g2_mul(None, 5) is None
+        for k in (0, _R, -_R, 3 * _R):
+            assert bls.g2_mul(self.PTS[1], k) is None
+
+    def test_signature_binds_message_and_key(self):
+        kp, other = sc.keygen(b"\x33" * 32), sc.keygen(b"\x34" * 32)
+        sig = sc.sign(kp.sk, b"gls-msg")
+        assert sc.verify(kp.pk, b"gls-msg", sig)
+        assert not sc.verify(kp.pk, b"gls-msh", sig)
+        assert not sc.verify(other.pk, b"gls-msg", sig)
 
 
 # |z| gives the twist's cofactor h2, and h2 * R is the order of the twist
@@ -527,7 +585,8 @@ class TestG2GroupLaw:
 # decoding checks the subgroup.
 _Z = -int(bls.X)
 H2 = (_Z**8 - 4 * _Z**7 + 5 * _Z**6 - 4 * _Z**4 + 6 * _Z**3 - 4 * _Z**2 - 4 * _Z + 13) // 9
-G2_TORSION = bls.g2_mul(bls.map_to_curve(b"split-a"), H2 * int(bls.R) // 2713)
+# (g2_mul takes points of G2 only, so the reference multiplier builds it)
+G2_TORSION = _ref_g2_mul(bls.map_to_curve(b"split-a"), H2 * int(bls.R) // 2713)
 
 
 class TestG2Subgroup:
@@ -535,9 +594,9 @@ class TestG2Subgroup:
     MSG = b"g2-subgroup"
 
     def test_torsion_point_has_order_2713(self):
-        assert bls.g2_mul(bls.map_to_curve(b"split-a"), H2 * bls.R) is None
+        assert _ref_g2_mul(bls.map_to_curve(b"split-a"), H2 * bls.R) is None
         assert G2_TORSION is not None and bls.g2_is_on_curve(G2_TORSION)
-        assert bls.g2_mul(G2_TORSION, 2713) is None
+        assert _ref_g2_mul(G2_TORSION, 2713) is None
         assert not bls.g2_in_subgroup(G2_TORSION)
 
     def test_decoding_refuses_points_outside_g2(self):
