@@ -16,12 +16,16 @@ Attestation policies trade signature count against verification cost:
                position-bound piece digests.
 * session   -- one long-term signature certifying an ephemeral session key,
                then one cheap session signature per piece.
+
+A policy's rules (JSON name, signature count, coverage, scheme) live on its
+class; no other module tests a policy's type to learn them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from typing import ClassVar
 
 from . import sigcrypto as sc
 
@@ -177,18 +181,6 @@ def receipt_key(infohash: bytes, sender_pk: bytes, receiver_pk: bytes,
                 piece_hash: bytes, index: int, epoch: int):
     """``receipt_id`` from the fields a report carries instead of receipts."""
     return (infohash, sender_pk, receiver_pk, piece_hash, index, epoch)
-
-
-# ---------------------------------------------------------------------------
-# adaptive coverage
-
-def adaptive_indices(n: int, head: int, stride: int, tail: int):
-    """Indices that get their own receipt under adaptive coverage: the first
-    *head* pieces, the last *tail*, and every *stride*-th one in between."""
-    if n <= head + tail:
-        return list(range(n))
-    out = set(range(head)) | set(range(n - tail, n)) | set(range(head, n - tail, stride))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -409,28 +401,93 @@ def aggregate_session_certs(certs) -> sc.AggregateSignature:
 
 # ---------------------------------------------------------------------------
 # policies
+#
+# Each policy class is the one definition of its mode: ``name`` is its JSON
+# tag, ``signatures(n)`` the long-term-equivalent signatures a downloader
+# issues for an n-piece torrent, ``covers(index, n)`` whether piece *index*
+# earns credit through a receipt, and ``session`` whether the per-piece
+# signatures use the cheap session scheme.  Every parameter is an integer.
+
+
+def _piece_count(n: int) -> int:
+    if n < 0:
+        raise ValueError("negative piece count")
+    return n
 
 
 @dataclass(frozen=True)
 class PerPiecePolicy:
-    pass
+    name: ClassVar[str] = "per-piece"
+    session: ClassVar[bool] = False
+
+    def signatures(self, n: int) -> int:
+        return _piece_count(n)
+
+    def covers(self, index: int, n: int) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
 class AdaptivePolicy:
+    """Receipts for the first *head* pieces, the last *tail*, and every
+    *stride*-th one in between."""
+
+    name: ClassVar[str] = "adaptive"
+    session: ClassVar[bool] = False
     head: int = 100
     stride: int = 10
     tail: int = 100
 
+    def __post_init__(self):
+        if self.stride < 1:
+            raise ValueError("adaptive stride must be at least 1")
+        if self.head < 0 or self.tail < 0:
+            raise ValueError("adaptive head and tail must be non-negative")
+
+    def signatures(self, n: int) -> int:
+        covered = self.head + self.tail
+        if _piece_count(n) <= covered:
+            return n
+        return covered + -(-(n - covered) // self.stride)
+
+    def covers(self, index: int, n: int) -> bool:
+        return (n <= self.head + self.tail or index < self.head
+                or index >= n - self.tail or (index - self.head) % self.stride == 0)
+
 
 @dataclass(frozen=True)
 class BatchPolicy:
+    """One receipt per *k* pieces from the same sender; every piece is
+    credited through the batch that carries it."""
+
+    name: ClassVar[str] = "batch"
+    session: ClassVar[bool] = False
     k: int = 16
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("batch size k must be at least 1")
+
+    def signatures(self, n: int) -> int:
+        return -(-_piece_count(n) // self.k)
+
+    def covers(self, index: int, n: int) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
 class SessionPolicy:
-    pass
+    """n cheap per-piece signatures; the one long-term signature on the
+    session certificate is counted separately by the cost model."""
+
+    name: ClassVar[str] = "session"
+    session: ClassVar[bool] = True
+
+    def signatures(self, n: int) -> int:
+        return _piece_count(n)
+
+    def covers(self, index: int, n: int) -> bool:
+        return True
 
 
 @dataclass(frozen=True)
@@ -438,65 +495,32 @@ class NullPolicy:
     """No receipts at all — the insecure baseline a swarm runs without
     transfer attestation.  Useful as a control in overhead comparisons."""
 
+    name: ClassVar[str] = "null"
+    session: ClassVar[bool] = False
 
-def signature_count(policy, n: int) -> int:
-    """Long-term-equivalent signatures a downloader issues for an n-piece
-    torrent under a policy.  Session mode still issues n (cheap) per-piece
-    signatures; its one certifying long-term signature is counted separately
-    by the cost model."""
-    if n < 0:
-        raise ValueError("negative piece count")
-    if isinstance(policy, PerPiecePolicy):
-        return n
-    if isinstance(policy, AdaptivePolicy):
-        covered = policy.head + policy.tail
-        if n <= covered:
-            return n
-        return covered + -(-(n - covered) // policy.stride)
-    if isinstance(policy, BatchPolicy):
-        return -(-n // policy.k)
-    if isinstance(policy, SessionPolicy):
-        return n
-    if isinstance(policy, NullPolicy):
+    def signatures(self, n: int) -> int:
+        _piece_count(n)
         return 0
-    raise TypeError(f"unknown policy {policy!r}")
+
+    def covers(self, index: int, n: int) -> bool:
+        return False
 
 
-_POLICY_NAMES = {
-    PerPiecePolicy: "per-piece",
-    AdaptivePolicy: "adaptive",
-    BatchPolicy: "batch",
-    SessionPolicy: "session",
-    NullPolicy: "null",
-}
+_POLICY_CLASSES = {cls.name: cls for cls in
+                   (PerPiecePolicy, AdaptivePolicy, BatchPolicy, SessionPolicy, NullPolicy)}
 
 
 def policy_to_json(policy) -> dict:
-    name = _POLICY_NAMES.get(type(policy))
-    if name is None:
-        raise TypeError(f"unknown policy {policy!r}")
-    doc = {"policy": name}
-    if isinstance(policy, AdaptivePolicy):
-        doc.update(head=policy.head, stride=policy.stride, tail=policy.tail)
-    elif isinstance(policy, BatchPolicy):
-        doc.update(k=policy.k)
-    return doc
+    return {"policy": policy.name, **asdict(policy)}
 
 
 def policy_from_json(doc: dict):
-    name = doc["policy"]
-    if name == "per-piece":
-        return PerPiecePolicy()
-    if name == "adaptive":
-        return AdaptivePolicy(
-            head=int(doc.get("head", 100)),
-            stride=int(doc.get("stride", 10)),
-            tail=int(doc.get("tail", 100)),
-        )
-    if name == "batch":
-        return BatchPolicy(k=int(doc.get("k", 16)))
-    if name == "session":
-        return SessionPolicy()
-    if name == "null":
-        return NullPolicy()
-    raise ValueError(f"unknown policy name {name!r}")
+    params = dict(doc)
+    name = params.pop("policy")
+    cls = _POLICY_CLASSES.get(name)
+    if cls is None:
+        raise ValueError(f"unknown policy name {name!r}")
+    unknown = set(params) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {name} policy fields: {sorted(unknown)}")
+    return cls(**{k: int(v) for k, v in params.items()})

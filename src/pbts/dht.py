@@ -247,7 +247,6 @@ class DhtNet:
 
     params: DhtParams = field(default_factory=DhtParams)
     drop_rate: float = 0.0
-    latency_ms: int = 20
     rng: random.Random = field(default_factory=random.Random)
     now_epoch: int = 0
     nodes: dict = field(default_factory=dict)      # nid -> DhtNode

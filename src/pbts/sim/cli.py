@@ -109,13 +109,10 @@ def cmd_table1(args) -> int:
     return 0
 
 
-_POLICY_CHOICES = {
-    "per-piece": at.PerPiecePolicy(),
-    "adaptive": at.AdaptivePolicy(),
-    "batch": at.BatchPolicy(k=10),
-    "session": at.SessionPolicy(),
-    "null": at.NullPolicy(),
-}
+_POLICY_CHOICES = {p.name: p for p in (
+    at.PerPiecePolicy(), at.AdaptivePolicy(), at.BatchPolicy(k=10),
+    at.SessionPolicy(), at.NullPolicy(),
+)}
 
 
 def cmd_overhead(args) -> int:

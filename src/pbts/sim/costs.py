@@ -39,37 +39,13 @@ class CostModel:
     session_sign_ms: float = REF_SESSION_SIGN_MS
     session_verify_ms: float = REF_SESSION_VERIFY_MS
     agg_verify_ms: dict = field(default_factory=lambda: dict(REF_AGG_VERIFY_MS))
-    bandwidth: float = float(MIB)  # bytes per second
 
     def __post_init__(self):
-        for name in ("sign_ms", "verify_ms", "session_sign_ms", "session_verify_ms", "bandwidth"):
+        for name in ("sign_ms", "verify_ms", "session_sign_ms", "session_verify_ms"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if any(v <= 0 for v in self.agg_verify_ms.values()):
             raise ValueError("aggregate verify latencies must be positive")
-
-    def agg_verify(self, batch: int) -> float:
-        """Aggregate-verification latency for an arbitrary batch size,
-        piecewise-linear through the calibration table."""
-        if batch <= 0:
-            return 0.0
-        table = sorted(self.agg_verify_ms.items())
-        if batch in self.agg_verify_ms:
-            return self.agg_verify_ms[batch]
-        lo_n, lo_v = table[0]
-        if batch < lo_n:
-            return lo_v * batch / lo_n
-        for (a_n, a_v), (b_n, b_v) in zip(table, table[1:]):
-            if a_n < batch <= b_n:
-                return a_v + (b_v - a_v) * (batch - a_n) / (b_n - a_n)
-        (a_n, a_v), (b_n, b_v) = table[-2], table[-1]
-        slope = (b_v - a_v) / (b_n - a_n)
-        return b_v + slope * (batch - b_n)
-
-    def sign_cost(self, policy) -> float:
-        if isinstance(policy, at.SessionPolicy):
-            return self.session_sign_ms
-        return self.sign_ms
 
 
 def piece_count(file_size: int, piece_size: int) -> int:
@@ -84,8 +60,8 @@ def throughput_overhead(file_size: int, bandwidth: float, piece_size: int,
     policy's signature count times per-op latency, relative to the transfer
     time alone."""
     n = piece_count(file_size, piece_size)
-    count = at.signature_count(policy, n)
-    signing_s = count * cost.sign_cost(policy) / 1000.0
+    sign_ms = cost.session_sign_ms if policy.session else cost.sign_ms
+    signing_s = policy.signatures(n) * sign_ms / 1000.0
     baseline_s = file_size / bandwidth
     return signing_s / baseline_s
 
@@ -99,6 +75,8 @@ TABLE1_PUBLISHED = {
     "batch": {"signatures": 256, "time_s": 0.51, "report_size": "228 KB"},
     "session": {"signatures": 2560, "time_s": 0.53, "report_size": "160 KB"},
 }
+TABLE1_POLICIES = (at.PerPiecePolicy(), at.AdaptivePolicy(), at.BatchPolicy(k=10),
+                   at.SessionPolicy())
 
 
 def table1(n: int = 2560, piece_size: int = 2 * MIB,
@@ -117,49 +95,22 @@ def table1(n: int = 2560, piece_size: int = 2 * MIB,
     ``note`` flagging the discrepancy.
     """
     rows = []
-
-    count = at.signature_count(at.PerPiecePolicy(), n)
-    rows.append({
-        "policy": "per-piece",
-        "signatures": count,
-        "time_s": count * bls_op_ms / 1000.0,
-        "report_bytes": 32 * count + 96,
-        "published": TABLE1_PUBLISHED["per-piece"],
-    })
-
-    pol = at.AdaptivePolicy()
-    count = at.signature_count(pol, n)
-    rows.append({
-        "policy": "adaptive",
-        "signatures": count,
-        "time_s": count * bls_op_ms / 1000.0,
-        "report_bytes": 32 * count + 96,
-        "published": TABLE1_PUBLISHED["adaptive"],
-        "note": (
-            "published row assumes ~%d signatures; head=%d/stride=%d/tail=%d "
-            "coverage of %d pieces yields %d"
-            % (TABLE1_PUBLISHED["adaptive"]["signatures"], pol.head, pol.stride, pol.tail, n, count)
-        ),
-    })
-
-    count = at.signature_count(at.BatchPolicy(k=10), n)
-    rows.append({
-        "policy": "batch",
-        "signatures": count,
-        "time_s": count * bls_op_ms / 1000.0,
-        "report_bytes": 32 * count + 96,
-        "published": TABLE1_PUBLISHED["batch"],
-    })
-
-    count = at.signature_count(at.SessionPolicy(), n)
-    # one certificate: signed once, verified once, with the long-term scheme
-    rows.append({
-        "policy": "session",
-        "signatures": count,
-        "time_s": (count * session_op_ms + 2 * bls_op_ms) / 1000.0,
-        "report_bytes": 64 * count + 96,
-        "published": TABLE1_PUBLISHED["session"],
-    })
+    for pol in TABLE1_POLICIES:
+        count = pol.signatures(n)
+        if pol.session:
+            # one certificate: signed once, verified once, with the long-term scheme
+            time_ms, report_bytes = count * session_op_ms + 2 * bls_op_ms, 64 * count + 96
+        else:
+            time_ms, report_bytes = count * bls_op_ms, 32 * count + 96
+        row = {"policy": pol.name, "signatures": count, "time_s": time_ms / 1000.0,
+               "report_bytes": report_bytes, "published": TABLE1_PUBLISHED[pol.name]}
+        if pol.name == "adaptive":
+            row["note"] = (
+                "published row assumes ~%d signatures; head=%d/stride=%d/tail=%d "
+                "coverage of %d pieces yields %d"
+                % (row["published"]["signatures"], pol.head, pol.stride, pol.tail, n, count)
+            )
+        rows.append(row)
     return rows
 
 

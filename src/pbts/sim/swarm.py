@@ -119,11 +119,6 @@ class SwarmSim:
                 p.todo = p.rng.sample(range(sc_.num_pieces), sc_.num_pieces)
             self.peers.append(p)
         self.by_pk = {p.kp.pk: p for p in self.peers}
-        self.adaptive_set = None
-        if isinstance(sc_.policy, at.AdaptivePolicy):
-            pol = sc_.policy
-            self.adaptive_set = set(
-                at.adaptive_indices(sc_.num_pieces, pol.head, pol.stride, pol.tail))
 
         for p in self.peers:
             ok = self.tracker.register(
@@ -190,12 +185,6 @@ class SwarmSim:
         active policy and the receiver's current buffering state."""
         pol = self.sc.policy
         c = self.cost
-        if isinstance(pol, at.PerPiecePolicy):
-            return c.sign_ms + c.verify_ms
-        if isinstance(pol, at.AdaptivePolicy):
-            if index in self.adaptive_set:
-                return c.sign_ms + c.verify_ms
-            return 0.0
         if isinstance(pol, at.BatchPolicy):
             buf = leecher.batch_buf.get(sender.kp.pk, {})
             flushes = 0
@@ -210,6 +199,8 @@ class SwarmSim:
             if (sender.kp.pk, epoch) not in leecher.session_keys:
                 charge += c.sign_ms + c.verify_ms  # certificate mint + check
             return charge
+        if pol.covers(index, self.meta.num_pieces):
+            return c.sign_ms + c.verify_ms
         return 0.0
 
     def _schedule_next(self, leecher: PeerState):
@@ -221,14 +212,6 @@ class SwarmSim:
         dur = at.piece_len(self.meta, index) / self.sc.bandwidth * 1000.0
         dur += self._attest_charge(leecher, sender, index)
         self._push(self.t + dur, "finish", (leecher, sender, index))
-
-    def _receipted(self, index: int) -> bool:
-        pol = self.sc.policy
-        if isinstance(pol, at.NullPolicy):
-            return False
-        if isinstance(pol, at.AdaptivePolicy):
-            return index in self.adaptive_set
-        return True
 
     def _flush_batch_buf(self, leecher: PeerState, sender_pk: bytes, t_s: int):
         buf = leecher.batch_buf.get(sender_pk)
@@ -249,29 +232,23 @@ class SwarmSim:
         leecher.todo.pop(0)
         leecher.have.add(index)
         self.counts["transfers"] += 1
+        pol = self.sc.policy
+        covered = pol.covers(index, self.meta.num_pieces)
         self.ground_truth.append({
             "t_ms": self.t, "sender": sender.name, "receiver": leecher.name,
             "index": index, "bytes": at.piece_len(self.meta, index),
-            "receipted": self._receipted(index),
+            "receipted": covered,
         })
 
-        pol = self.sc.policy
         content = self.contents[index]
-        if isinstance(pol, (at.PerPiecePolicy, at.AdaptivePolicy)):
-            if self._receipted(index):
-                r = at.attest(leecher.kp, self.meta.infohash, sender.kp.pk,
-                              content, index, t_s, self.ep)
-                self.ops["sign"] += 1
-                if not at.verify_receipt(r, self.meta, t_s, self.ep, skew=1):
-                    raise AssertionError("honest receipt failed verification")
-                self.ops["verify"] += 1
-                sender.pending_receipts.append((r, leecher.uid))
-                self.counts["receipts"] += 1
-        elif isinstance(pol, at.BatchPolicy):
+        if isinstance(pol, at.BatchPolicy):
             buf = leecher.batch_buf.setdefault(sender.kp.pk, {})
             buf[index] = content
             if len(buf) >= pol.k:
                 self._flush_batch_buf(leecher, sender.kp.pk, t_s)
+            if not leecher.todo:  # the final piece flushes every open buffer
+                for spk in list(leecher.batch_buf):
+                    self._flush_batch_buf(leecher, spk, t_s)
         elif isinstance(pol, at.SessionPolicy):
             epoch = at.epoch_of(t_s, self.ep)
             key = (sender.kp.pk, epoch)
@@ -292,13 +269,19 @@ class SwarmSim:
             self.ops["session_verify"] += 1
             sender.pending_sessions[(leecher.kp.pk, epoch)][2].append(sr)
             self.counts["receipts"] += 1
+        elif covered:
+            r = at.attest(leecher.kp, self.meta.infohash, sender.kp.pk,
+                          content, index, t_s, self.ep)
+            self.ops["sign"] += 1
+            if not at.verify_receipt(r, self.meta, t_s, self.ep, skew=1):
+                raise AssertionError("honest receipt failed verification")
+            self.ops["verify"] += 1
+            sender.pending_receipts.append((r, leecher.uid))
+            self.counts["receipts"] += 1
 
         if leecher.todo:
             self._schedule_next(leecher)
         else:
-            if isinstance(pol, at.BatchPolicy):
-                for spk in list(leecher.batch_buf):
-                    self._flush_batch_buf(leecher, spk, t_s)
             leecher.done = True
             self._announce(leecher, "completed")
 

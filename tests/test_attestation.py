@@ -171,15 +171,20 @@ class TestReceipts:
 
 
 class TestAdaptiveCoverage:
+    @staticmethod
+    def covered(n, head, stride, tail):
+        pol = at.AdaptivePolicy(head, stride, tail)
+        return [i for i in range(n) if pol.covers(i, n)]
+
     def test_reference_count_is_frozen(self):
-        idx = at.adaptive_indices(2560, 100, 10, 100)
+        idx = self.covered(2560, 100, 10, 100)
         # 100 head + 100 tail + ceil(2360 / 10) interior samples
         assert len(idx) == 100 + 100 + 236 == 436
 
     @given(st.integers(1, 4000), st.integers(1, 50), st.integers(1, 20), st.integers(1, 50))
     @settings(max_examples=300)
     def test_formula(self, n, head, stride, tail):
-        idx = at.adaptive_indices(n, head, stride, tail)
+        idx = self.covered(n, head, stride, tail)
         assert idx == sorted(set(idx))
         assert all(0 <= i < n for i in idx)
         covered = head + tail
@@ -188,10 +193,10 @@ class TestAdaptiveCoverage:
         else:
             expect = covered + -(-(n - covered) // stride)
         assert len(idx) == expect
-        assert len(idx) == at.signature_count(at.AdaptivePolicy(head, stride, tail), n)
+        assert len(idx) == at.AdaptivePolicy(head, stride, tail).signatures(n)
 
     def test_head_and_tail_always_covered(self):
-        idx = set(at.adaptive_indices(1000, 5, 7, 5))
+        idx = set(self.covered(1000, 5, 7, 5))
         assert {0, 1, 2, 3, 4} <= idx
         assert {995, 996, 997, 998, 999} <= idx
 
@@ -360,11 +365,31 @@ class TestPolicies:
         (at.PerPiecePolicy(), 0, 0),
     ])
     def test_signature_counts(self, policy, n, expect):
-        assert at.signature_count(policy, n) == expect
+        assert policy.signatures(n) == expect
 
-    def test_negative_piece_count_rejected(self):
+    @pytest.mark.parametrize("policy", [
+        at.PerPiecePolicy(), at.AdaptivePolicy(), at.BatchPolicy(), at.SessionPolicy(),
+        at.NullPolicy(),
+    ])
+    def test_negative_piece_count_rejected(self, policy):
         with pytest.raises(ValueError):
-            at.signature_count(at.PerPiecePolicy(), -1)
+            policy.signatures(-1)
+
+    @pytest.mark.parametrize("policy,covered", [
+        (at.PerPiecePolicy(), [0, 1, 2, 3, 4, 5, 6]),
+        (at.AdaptivePolicy(head=1, stride=3, tail=1), [0, 1, 4, 6]),
+        (at.BatchPolicy(k=3), [0, 1, 2, 3, 4, 5, 6]),
+        (at.SessionPolicy(), [0, 1, 2, 3, 4, 5, 6]),
+        (at.NullPolicy(), []),
+    ])
+    def test_coverage(self, policy, covered):
+        assert [i for i in range(7) if policy.covers(i, 7)] == covered
+
+    def test_only_session_signs_with_the_session_scheme(self):
+        assert at.SessionPolicy().session
+        for pol in (at.PerPiecePolicy(), at.AdaptivePolicy(), at.BatchPolicy(),
+                    at.NullPolicy()):
+            assert not pol.session
 
     @pytest.mark.parametrize("policy", [
         at.PerPiecePolicy(),
@@ -376,6 +401,37 @@ class TestPolicies:
     def test_json_round_trip(self, policy):
         assert at.policy_from_json(at.policy_to_json(policy)) == policy
 
+    def test_json_form(self):
+        assert at.policy_to_json(at.AdaptivePolicy(head=7, stride=3, tail=9)) == {
+            "policy": "adaptive", "head": 7, "stride": 3, "tail": 9}
+        assert at.policy_to_json(at.BatchPolicy(k=5)) == {"policy": "batch", "k": 5}
+        assert at.policy_to_json(at.NullPolicy()) == {"policy": "null"}
+
+    def test_omitted_fields_take_defaults(self):
+        assert at.policy_from_json({"policy": "batch"}) == at.BatchPolicy()
+        assert at.policy_from_json({"policy": "adaptive", "stride": 4}) == \
+            at.AdaptivePolicy(stride=4)
+
     def test_unknown_policy_name(self):
         with pytest.raises(ValueError):
             at.policy_from_json({"policy": "mystery"})
+
+    @pytest.mark.parametrize("doc", [
+        {"policy": "batch", "K": 4},
+        {"policy": "adaptive", "head": 1, "strides": 2},
+        {"policy": "per-piece", "k": 16},
+    ])
+    def test_unknown_policy_fields_rejected(self, doc):
+        with pytest.raises(ValueError):
+            at.policy_from_json(doc)
+
+    @pytest.mark.parametrize("make", [
+        lambda: at.BatchPolicy(k=0),
+        lambda: at.AdaptivePolicy(stride=0),
+        lambda: at.AdaptivePolicy(head=-1),
+        lambda: at.AdaptivePolicy(tail=-1),
+        lambda: at.policy_from_json({"policy": "batch", "k": 0}),
+    ])
+    def test_bad_parameters_rejected_at_construction(self, make):
+        with pytest.raises(ValueError):
+            make()
