@@ -186,12 +186,13 @@ class SwarmSim:
         pol = self.sc.policy
         c = self.cost
         if isinstance(pol, at.BatchPolicy):
-            buf = leecher.batch_buf.get(sender.kp.pk, {})
-            flushes = 0
-            if len(buf) + 1 >= pol.k:
-                flushes = 1
-            elif len(leecher.todo) == 0:  # final piece flushes every open buffer
-                flushes = sum(1 for b in leecher.batch_buf.values() if b) + 1
+            # todo[0] is this piece.  The last one flushes every open buffer,
+            # the sender's (which this piece joins) exactly once.
+            spk = sender.kp.pk
+            if len(leecher.todo) == 1:
+                flushes = 1 + sum(1 for pk, b in leecher.batch_buf.items() if b and pk != spk)
+            else:
+                flushes = 1 if len(leecher.batch_buf.get(spk, ())) + 1 >= pol.k else 0
             return flushes * (c.sign_ms + c.verify_ms)
         if isinstance(pol, at.SessionPolicy):
             epoch = at.epoch_of(self._t_s(self.t), self.ep)

@@ -256,6 +256,21 @@ class TestLedger:
             assert p["chain_up"] == res.scenario.init_credit
             assert p["chain_down"] == 0
 
+    def test_batch_flush_is_charged_to_the_last_piece(self):
+        # k exceeds the piece count, so only the final piece flushes: one
+        # batch receipt (a sign and a verify) per distinct sender
+        res = swarm.run_scenario(
+            dataclasses.replace(BASE, policy=at.BatchPolicy(k=16)), FAST)
+        dur = BASE.piece_size / BASE.bandwidth * 1000.0
+        for name in leechers(res):
+            mine = [e for e in res.ground_truth if e["receiver"] == name]
+            senders = {e["sender"] for e in mine}
+            gap = mine[-1]["t_ms"] - mine[-2]["t_ms"]
+            assert gap == pytest.approx(dur + len(senders) * (FAST.sign_ms + FAST.verify_ms))
+        assert res.metrics["counts"]["receipts"] == sum(
+            len({e["sender"] for e in res.ground_truth if e["receiver"] == name})
+            for name in leechers(res))
+
 
 class TestDeterminism:
     def test_identical_runs_emit_identical_metrics(self):
