@@ -514,6 +514,14 @@ def policy_to_json(policy) -> dict:
     return {"policy": policy.name, **asdict(policy)}
 
 
+def json_int(value, what: str) -> int:
+    """*value* if it is a JSON integer; a bool, float or string is refused
+    rather than converted."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def policy_from_json(doc: dict):
     params = dict(doc)
     name = params.pop("policy")
@@ -523,4 +531,4 @@ def policy_from_json(doc: dict):
     unknown = set(params) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {name} policy fields: {sorted(unknown)}")
-    return cls(**{k: int(v) for k, v in params.items()})
+    return cls(**{k: json_int(v, f"{name} policy field {k!r}") for k, v in params.items()})

@@ -106,8 +106,6 @@ class DhtNode:
     addr_rep: bytes
     min_rep: object
     params: DhtParams = field(default_factory=DhtParams)
-    read_delay_epochs: int = 0
-    read_budget: int | None = None
     cached_bootstrap: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -115,9 +113,6 @@ class DhtNode:
         self.buckets = [[] for _ in range(ID_BITS)]  # entries: (nid, ip, port)
         self.store = {}        # infohash -> {pk: AnnounceRecord}
         self.local_views = {}  # infohash -> {pk: (ip, port)}
-        self._read_cache = {}  # uid -> (record, fetched_epoch)
-        self._reads_epoch = None
-        self._reads_used = 0
 
     # -- routing table -------------------------------------------------------
 
@@ -153,38 +148,14 @@ class DhtNode:
     def closest_contacts(self, key: bytes, count: int):
         return _closest(self.contacts(), key, count)
 
-    # -- chain access with staleness/budget knobs ----------------------------
-
-    def chain_read(self, uid: bytes, now_epoch: int):
-        """Reputation lookup as this node sees the chain.  A nonzero read
-        delay serves cached values for that many epochs; an exhausted read
-        budget (reads per epoch) also falls back to cache.  Returns the
-        record, None when absent, or the string "no_budget" when a fresh
-        read is needed but not affordable."""
-        cached = self._read_cache.get(uid)
-        if cached is not None and now_epoch - cached[1] < self.read_delay_epochs:
-            return cached[0]
-        if self.read_budget is not None:
-            if self._reads_epoch != now_epoch:
-                self._reads_epoch = now_epoch
-                self._reads_used = 0
-            if self._reads_used >= self.read_budget:
-                return cached[0] if cached is not None else "no_budget"
-            self._reads_used += 1
-        rec = ct.sc_read(self.chain, self.addr_rep, uid)
-        self._read_cache[uid] = (rec, now_epoch)
-        return rec
-
     # -- storage -------------------------------------------------------------
 
-    def check_record(self, record: AnnounceRecord, now_epoch: int):
+    def check_record(self, record: AnnounceRecord):
         """Whether an announce record may be stored or believed: (True, None)
         or (False, reason).  Cheap chain checks run before the signature so
         junk from adversarial scripts is rejected without paying for a
         pairing."""
-        rec = self.chain_read(record.uid, now_epoch)
-        if rec == "no_budget":
-            return False, "no_budget"
+        rec = ct.sc_read(self.chain, self.addr_rep, record.uid)
         if rec is None:
             return False, "unknown_uid"
         if rec.pk != record.pk:
@@ -198,7 +169,7 @@ class DhtNode:
 
     def handle_store(self, record: AnnounceRecord, now_epoch: int):
         """Store *record* if ``check_record`` admits it; returns its verdict."""
-        ok, reason = self.check_record(record, now_epoch)
+        ok, reason = self.check_record(record)
         if ok:
             per_torrent = self.store.setdefault(record.infohash, {})
             per_torrent[record.pk] = replace(record, stored_epoch=now_epoch)
@@ -223,14 +194,13 @@ class DhtNode:
 
     # -- peer-local announce exchange ---------------------------------------
 
-    def peer_announce(self, frm, now_epoch: int, rng: random.Random, sample_cap: int = tr.DEFAULT_SAMPLE_CAP):
+    def peer_announce(self, frm, rng: random.Random):
         """Tracker-style announce handled by a peer against its local view.
         *frm* is (uid, pk, sig, infohash, event, ip, port); the signature is
         over the same message the tracker would verify."""
-        def read(uid):
-            rec = self.chain_read(uid, now_epoch)
-            return None if rec == "no_budget" else rec
-        return tr.admit_announce(self.local_views, read, frm, self.min_rep, rng, sample_cap)
+        return tr.admit_announce(
+            self.local_views, lambda uid: ct.sc_read(self.chain, self.addr_rep, uid),
+            frm, self.min_rep, rng, tr.DEFAULT_SAMPLE_CAP)
 
     def merge_view(self, infohash: bytes, records) -> None:
         for r in records:
@@ -300,13 +270,13 @@ class DhtNet:
 # iterative lookup
 
 
-def find_closest(net: DhtNet, node: DhtNode, key: bytes, k: int | None = None):
+def find_closest(net: DhtNet, node: DhtNode, key: bytes):
     """Iterative lookup: each round queries the alpha closest unqueried
     candidates in parallel and merges their answers; once a round stops
     improving the k-best frontier, one wide terminal round queries everything
     still unqueried among the k best.  Returns (contacts, rounds); rounds is
     the hop count."""
-    k = k or net.params.k
+    k = net.params.k
     candidates = {node.nid: (node.nid, node.ip, node.port)}
     for c in node.closest_contacts(key, k):
         candidates[c[0]] = c
@@ -406,7 +376,7 @@ def dht_get_peers(net: DhtNet, node: DhtNode, infohash: bytes):
     for r in collected:
         if r.pk in kept or r in refused:
             continue
-        if node.check_record(r, net.now_epoch)[0]:
+        if node.check_record(r)[0]:
             kept[r.pk] = r
         else:
             refused.add(r)

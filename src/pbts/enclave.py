@@ -51,12 +51,6 @@ class AttestationQuote:
         return cls(measurement=fields[0][1], nonce=fields[1][1], sig=fields[2][1])
 
 
-@dataclass(frozen=True)
-class TrackerRootKey:
-    measurement: bytes
-    key: sc.KeyPair
-
-
 @dataclass
 class EnclaveWorld:
     """Simulated hardware trust anchor shared by one deployment."""
@@ -124,7 +118,7 @@ def verify_quote(quote: AttestationQuote, allowlist, hw_root_pk: bytes) -> bool:
         return False
 
 
-def kms_derive(world: EnclaveWorld, quote: AttestationQuote) -> TrackerRootKey | None:
+def kms_derive(world: EnclaveWorld, quote: AttestationQuote) -> sc.KeyPair | None:
     """Release the per-measurement root key, gated on quote verification.
 
     Derivation is a deterministic function of (KMS secret, measurement):
@@ -134,11 +128,11 @@ def kms_derive(world: EnclaveWorld, quote: AttestationQuote) -> TrackerRootKey |
     if not verify_quote(quote, world.allowlist, world.hw_root_pk):
         return None
     seed = hmac.new(world.kms_secret, b"tracker-root" + quote.measurement, hashlib.sha256).digest()
-    return TrackerRootKey(measurement=quote.measurement, key=sc.keygen(seed))
+    return sc.keygen(seed)
 
 
-def derive_contract_auth_keys(root: TrackerRootKey) -> sc.KeyPair:
+def derive_contract_auth_keys(root: sc.KeyPair) -> sc.KeyPair:
     """Session keypair for authenticating contract writes, derived from the
     root key so it also survives stateless restarts."""
-    seed = hashlib.sha256(b"contract-auth" + root.key.sk).digest()
+    seed = hashlib.sha256(b"contract-auth" + root.sk).digest()
     return sc.session_keygen(seed)

@@ -79,8 +79,7 @@ TABLE1_POLICIES = (at.PerPiecePolicy(), at.AdaptivePolicy(), at.BatchPolicy(k=10
                    at.SessionPolicy())
 
 
-def table1(n: int = 2560, piece_size: int = 2 * MIB,
-           bls_op_ms: float = 2.0, session_op_ms: float = 0.2):
+def table1(n: int = 2560, bls_op_ms: float = 2.0, session_op_ms: float = 0.2):
     """Signature counts, combined sign+verify time, and report sizes for the
     four policies over an n-piece torrent.  Per-op latencies default to the
     published projection inputs (2 ms for the aggregatable scheme, 0.2 ms for
@@ -121,20 +120,20 @@ def table1(n: int = 2560, piece_size: int = 2 * MIB,
 _bench_run = itertools.count()
 
 
-def bench_crypto(reps: int = 200, agg_batches=(10, 25, 50, 100), seed: int = 0) -> CostModel:
+def bench_crypto(reps: int = 200, agg_batches=(10, 25, 50, 100)) -> CostModel:
     """Measure per-op latencies on this host and return them as a CostModel.
     Every trial uses a distinct message — distinct across calls too, via a
     process-wide run tag — so memoized verification paths cannot flatter the
     numbers."""
     if reps < 100:
         raise ValueError("need at least 100 repetitions for stable means")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     keys = [sc.keygen(rng.getrandbits(256).to_bytes(32, "big")) for _ in range(8)]
     skeys = [sc.session_keygen(rng.getrandbits(256).to_bytes(32, "big")) for _ in range(8)]
     tag = next(_bench_run)
 
     def msg(i: int) -> bytes:
-        return b"bench-msg-%d-%d-%d" % (seed, tag, i)
+        return b"bench-msg-0-%d-%d" % (tag, i)
 
     t0 = time.perf_counter()
     sigs = [sc.sign(keys[i % 8].sk, msg(i)) for i in range(reps)]

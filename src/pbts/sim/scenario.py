@@ -9,7 +9,7 @@ fails loudly instead of silently running a different experiment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .. import attestation as at
@@ -66,11 +66,9 @@ class Scenario:
         return at.EpochParams(window=self.epoch_window, delta=self.epoch_delta)
 
 
-_FIELDS = {
-    "name", "seed", "peers", "seeders", "file_size", "piece_size", "policy",
-    "epoch_window", "epoch_delta", "min_rep", "init_credit", "bandwidth",
-    "tracker_down", "migrate_on_recovery", "adversaries",
-}
+_FIELDS = {f.name for f in fields(Scenario)}
+_INT_FIELDS = ("seed", "peers", "seeders", "file_size", "piece_size",
+               "epoch_window", "epoch_delta", "init_credit")
 
 
 def scenario_to_json(sc: Scenario) -> dict:
@@ -100,20 +98,27 @@ def scenario_from_json(doc: dict) -> Scenario:
     kwargs = {}
     if "name" in doc:
         kwargs["name"] = str(doc["name"])
-    for f in ("seed", "peers", "seeders", "file_size", "piece_size",
-              "epoch_window", "epoch_delta", "init_credit"):
+    for f in _INT_FIELDS:
         if f in doc:
-            kwargs[f] = int(doc[f])
+            kwargs[f] = at.json_int(doc[f], f)
     if "policy" in doc:
         kwargs["policy"] = at.policy_from_json(doc["policy"])
     if "min_rep" in doc:
         kwargs["min_rep"] = Fraction(doc["min_rep"])
     if "bandwidth" in doc:
-        kwargs["bandwidth"] = float(doc["bandwidth"])
+        bw = doc["bandwidth"]
+        if isinstance(bw, bool) or not isinstance(bw, (int, float)):
+            raise ValueError(f"bandwidth must be a number, not {bw!r}")
+        kwargs["bandwidth"] = float(bw)
     if "tracker_down" in doc:
-        kwargs["tracker_down"] = tuple((int(a), int(b)) for a, b in doc["tracker_down"])
+        kwargs["tracker_down"] = tuple(
+            (at.json_int(a, "tracker_down"), at.json_int(b, "tracker_down"))
+            for a, b in doc["tracker_down"])
     if "migrate_on_recovery" in doc:
-        kwargs["migrate_on_recovery"] = bool(doc["migrate_on_recovery"])
+        mig = doc["migrate_on_recovery"]
+        if type(mig) is not bool:
+            raise ValueError(f"migrate_on_recovery must be a bool, not {mig!r}")
+        kwargs["migrate_on_recovery"] = mig
     if "adversaries" in doc:
         kwargs["adversaries"] = tuple(str(a) for a in doc["adversaries"])
     return Scenario(**kwargs)

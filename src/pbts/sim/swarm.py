@@ -261,14 +261,16 @@ class SwarmSim:
                     raise AssertionError("honest session cert failed verification")
                 self.ops["verify"] += 1
                 leecher.session_keys[key] = (cert, skp)
-                sender.pending_sessions[(leecher.kp.pk, epoch)] = [cert, leecher.uid, []]
             cert, skp = leecher.session_keys[key]
             sr = at.session_attest(skp.sk, cert, content, index, t_s, self.ep)
             self.ops["session_sign"] += 1
             if not at.verify_session_receipt(cert, sr, self.meta, t_s, self.ep, skew=1):
                 raise AssertionError("honest session receipt failed verification")
             self.ops["session_verify"] += 1
-            sender.pending_sessions[(leecher.kp.pk, epoch)][2].append(sr)
+            # a report flush clears the sender's entries but not the leecher's key
+            pending = sender.pending_sessions.setdefault(
+                (leecher.kp.pk, epoch), [cert, leecher.uid, []])
+            pending[2].append(sr)
             self.counts["receipts"] += 1
         elif covered:
             r = at.attest(leecher.kp, self.meta.infohash, sender.kp.pk,

@@ -276,7 +276,7 @@ class Tracker:
             quote=quote,
             auth=auth,
             sample_cap=sample_cap,
-            rng=random.Random(int.from_bytes(sc.hash_data(root.key.sk + pp.iid)[:8], "big")),
+            rng=random.Random(int.from_bytes(sc.hash_data(root.sk + pp.iid)[:8], "big")),
         )
 
     def add_torrent(self, meta: at.TorrentMeta) -> None:

@@ -26,7 +26,7 @@ class Net:
     share one chain and read reputations from the same tracker contract."""
 
     def __init__(self, n, seed=0, k=20, alpha=3, ttl=2,
-                 min_rep=Fraction(1, 4), **node_kw):
+                 min_rep=Fraction(1, 4)):
         self.world = encl.world_new(seed=seed)
         self.world.allowlist.add(encl.measure(PROG, CFG))
         self.chain = ct.chain_new(self.world.allowlist, self.world.hw_root_pk)
@@ -44,7 +44,7 @@ class Net:
             node = dht.DhtNode(
                 kp=kp, uid=uid, ip="10.1.%d.%d" % (i // 256, i % 256),
                 port=6881 + i, chain=self.chain, addr_rep=self.tracker.addr,
-                min_rep=min_rep, params=self.params, **node_kw)
+                min_rep=min_rep, params=self.params)
             self.net.add_node(node)
             self.nodes.append(node)
         for a in self.nodes:
@@ -178,8 +178,8 @@ class TestLookup:
             assert rounds <= 4 * math.log2(n)
 
     def test_k_override(self):
-        env = Net(12, seed=3)
-        got, _ = dht.find_closest(env.net, env.nodes[0], IH[:20], k=3)
+        env = Net(12, seed=3, k=3)
+        got, _ = dht.find_closest(env.net, env.nodes[0], IH[:20])
         assert len(got) == 3
 
     def test_dead_node_pruned_and_evicted(self):
@@ -243,46 +243,14 @@ class TestStoreGating:
         assert dht.dht_announce(env.net, env.nodes[1], IH) == 0
         assert env.net.store_rejects.get("low_rep", 0) >= 4
 
-
-class TestChainReadKnobs:
-    def test_zero_budget_blocks_uncached_reads(self):
-        env = Net(3, seed=21, read_budget=0)
-        assert env.nodes[0].chain_read(env.nodes[1].uid, 0) == "no_budget"
-        ok, why = env.nodes[0].handle_store(env.record(1), 0)
-        assert (ok, why) == (False, "no_budget")
-
-    def test_budget_resets_each_epoch(self):
-        env = Net(4, seed=22, read_budget=1)
+    def test_slash_seen_by_a_store_at_an_earlier_epoch(self):
+        # every check reads the chain as it stands, whatever epoch the
+        # caller names: an earlier read is never served again
+        env = Net(3, seed=25)
         n0 = env.nodes[0]
-        assert n0.chain_read(env.nodes[1].uid, 5).pk == env.nodes[1].kp.pk
-        assert n0.chain_read(env.nodes[2].uid, 5) == "no_budget"
-        assert n0.chain_read(env.nodes[2].uid, 6).pk == env.nodes[2].kp.pk
-
-    def test_exhausted_budget_serves_the_cache(self):
-        env = Net(4, seed=23, read_budget=1)
-        n0 = env.nodes[0]
-        first = n0.chain_read(env.nodes[1].uid, 9)
-        assert first is not None
-        # same epoch, same uid: no budget left, but the cached copy suffices
-        assert n0.chain_read(env.nodes[1].uid, 9) == first
-
-    def test_read_delay_serves_stale_values(self):
-        env = Net(3, seed=24, read_delay_epochs=3)
-        n0, n1 = env.nodes[0], env.nodes[1]
-        assert n0.chain_read(n1.uid, 10).down == 0
-        env.tracker._write(n1.uid, n1.kp.pk, 4096, 999)
-        assert n0.chain_read(n1.uid, 12).down == 0    # within the delay
-        assert n0.chain_read(n1.uid, 13).down == 999  # cache expired
-
-    def test_stale_view_admits_a_freshly_slashed_peer(self):
-        # the staleness knob trades admission accuracy for chain traffic;
-        # this is the failure mode it buys into
-        env = Net(3, seed=25, read_delay_epochs=5)
-        n0 = env.nodes[0]
-        assert n0.handle_store(env.record(1), 0)[0]
+        assert n0.handle_store(env.record(1), 5) == (True, None)
         env.slash(1)
-        assert n0.handle_store(env.record(1), 1)[0]          # stale yes
-        assert n0.handle_store(env.record(1), 5) == (False, "low_rep")
+        assert n0.handle_store(env.record(1), 4) == (False, "low_rep")
 
 
 class TestTtl:
@@ -349,7 +317,7 @@ class TestRetrieve:
         env.slash(1)
         requester, checked = env.nodes[2], []
         check = requester.check_record
-        requester.check_record = lambda r, now: checked.append(r) or check(r, now)
+        requester.check_record = lambda r: checked.append(r) or check(r)
         assert dht.dht_get_peers(env.net, requester, IH) == []
         assert len(checked) == 1  # the holders' equal copies cost one chain read
 
@@ -408,31 +376,31 @@ class TestPeerAnnounce:
     def test_join_sees_prior_members(self):
         env = Net(5, seed=61)
         host, rng = env.nodes[0], random.Random(0)
-        assert host.peer_announce(self._frm(env, 1, "started"), 0, rng) == []
-        got = host.peer_announce(self._frm(env, 2, "started"), 0, rng)
+        assert host.peer_announce(self._frm(env, 1, "started"), rng) == []
+        got = host.peer_announce(self._frm(env, 2, "started"), rng)
         assert got == [(env.nodes[1].kp.pk, env.nodes[1].ip, env.nodes[1].port)]
 
     def test_stopped_removes(self):
         env = Net(4, seed=62)
         host, rng = env.nodes[0], random.Random(0)
-        host.peer_announce(self._frm(env, 1, "started"), 0, rng)
-        host.peer_announce(self._frm(env, 1, "stopped"), 0, rng)
+        host.peer_announce(self._frm(env, 1, "started"), rng)
+        host.peer_announce(self._frm(env, 1, "stopped"), rng)
         assert env.nodes[1].kp.pk not in host.local_views[IH]
 
     def test_low_rep_blocks_started_but_not_completed(self):
         env = Net(4, seed=63)
         host, rng = env.nodes[0], random.Random(0)
         env.slash(1)
-        assert host.peer_announce(self._frm(env, 1, "started"), 0, rng) == []
+        assert host.peer_announce(self._frm(env, 1, "started"), rng) == []
         assert IH not in host.local_views
-        host.peer_announce(self._frm(env, 1, "completed"), 0, rng)
+        host.peer_announce(self._frm(env, 1, "completed"), rng)
         assert env.nodes[1].kp.pk in host.local_views[IH]
 
     def test_bad_signature_and_unknown_event_ignored(self):
         env = Net(4, seed=64)
         host, rng = env.nodes[0], random.Random(0)
         uid, pk, sig, ih, _, ip, port = self._frm(env, 1, "started")
-        host.peer_announce((uid, pk, sig, ih, "paused", ip, port), 0, rng)
+        host.peer_announce((uid, pk, sig, ih, "paused", ip, port), rng)
         wrong = sc.sign(env.nodes[2].kp.sk, tr.announce_msg(uid, ih, "started"))
-        host.peer_announce((uid, pk, wrong, ih, "started", ip, port), 0, rng)
+        host.peer_announce((uid, pk, wrong, ih, "started", ip, port), rng)
         assert host.local_views.get(IH, {}) == {}

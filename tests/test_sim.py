@@ -168,6 +168,26 @@ class TestScenarioJson:
         with pytest.raises(ValueError, match="turbo"):
             scn.scenario_from_json(doc)
 
+    @pytest.mark.parametrize("doc", [
+        {"policy": {"policy": "batch", "k": 2.7}},
+        {"policy": {"policy": "batch", "k": True}},
+        {"policy": {"policy": "adaptive", "head": "2"}},
+        {"peers": 3.9},
+        {"seed": True},
+        {"init_credit": "4096"},
+        {"tracker_down": [[10, 20.5]]},
+        {"migrate_on_recovery": "no"},
+        {"migrate_on_recovery": 0},
+        {"bandwidth": True},
+        {"bandwidth": "2048"},
+    ])
+    def test_wrong_json_type_refused(self, doc):
+        with pytest.raises(ValueError):
+            scn.scenario_from_json(doc)
+
+    def test_integral_bandwidth_accepted(self):
+        assert scn.scenario_from_json({"bandwidth": 2048}).bandwidth == 2048.0
+
     def test_file_round_trip(self, tmp_path):
         sc = scn.Scenario(seed=3, policy=at.BatchPolicy(k=5))
         p = tmp_path / "sc.json"
@@ -255,6 +275,19 @@ class TestLedger:
         for p in res.metrics["peers"].values():
             assert p["chain_up"] == res.scenario.init_credit
             assert p["chain_down"] == 0
+
+    @pytest.mark.parametrize("window", [2, 8])
+    def test_session_spans_report_flushes(self, window):
+        # slow links stretch each session over several report flushes; the
+        # sender keeps collecting receipts for the leecher's open session
+        res = swarm.run_scenario(scn.Scenario(
+            seed=3, peers=3, seeders=1, file_size=8192, piece_size=1024,
+            bandwidth=1500.0, epoch_window=window, policy=at.SessionPolicy()))
+        init = res.scenario.init_credit
+        for name, p in res.metrics["peers"].items():
+            assert p["chain_up"] - init == p["receipted_up"], name
+            assert p["chain_down"] == p["receipted_down"], name
+        assert res.metrics["counts"]["reports_rejected"] == 0
 
     def test_batch_flush_is_charged_to_the_last_piece(self):
         # k exceeds the piece count, so only the final piece flushes: one
