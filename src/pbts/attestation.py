@@ -170,16 +170,10 @@ def verify_receipt(receipt: Receipt, meta: TorrentMeta | None, t_now: int,
         return False
 
 
-def receipt_id(receipt: Receipt):
-    """Replay-detection key: everything the signature commits to, plus the
-    signer.  Two receipts with the same id are the same attested event."""
-    return receipt_key(receipt.infohash, receipt.sender_pk, receipt.receiver_pk,
-                       receipt.piece_hash, receipt.index, receipt.epoch)
-
-
 def receipt_key(infohash: bytes, sender_pk: bytes, receiver_pk: bytes,
                 piece_hash: bytes, index: int, epoch: int):
-    """``receipt_id`` from the fields a report carries instead of receipts."""
+    """Replay-detection key: everything the signature commits to, plus the
+    signer.  Two receipts with the same key are the same attested event."""
     return (infohash, sender_pk, receiver_pk, piece_hash, index, epoch)
 
 
@@ -390,13 +384,6 @@ def verify_session_receipt(cert: SessionCert, sr: SessionReceipt, meta: TorrentM
         return sc.session_verify(cert.session_pk, msg, sr.sig)
     except Exception:
         return False
-
-
-def aggregate_session_certs(certs) -> sc.AggregateSignature:
-    """Aggregate the long-term signatures of many session certs so a verifier
-    can admit a whole report batch with one pairing product over the pairs
-    ``(cert.receiver_pk, cert_msg(cert))``."""
-    return sc.aggregate([c.sig for c in certs])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ message to a point on the twist by try-and-increment, and
 ``g2_clear_cofactor`` moves that point into the r-order subgroup.
 ``hash_to_g2`` is the composition and the only memoised entry point.  Because
 clearing is a group homomorphism, a verifier may sum one signer's mapped
-messages and clear the sum once (see ``sigcrypto.aggregate_verify``).
+messages and clear the sum once (see ``sigcrypto.aggregate_verify``); a
+signer with one message takes the memoised ``hash_to_g2``, the same point.
+``g2_add`` sums any number of points projectively, with one inversion.
 
 Performance notes, since this runs on CPython:
 
@@ -499,8 +501,9 @@ def _g2_mul_x(pt):
     return acc
 
 
-def g2_add(p1, p2):
-    return _g2_affine(_g2_sum((p1, p2)))
+def g2_add(*pts):
+    """Sum of any number of affine points (None = infinity): one inversion."""
+    return _g2_affine(_g2_sum(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +610,10 @@ def g2_clear_cofactor(*pts):
     endomorphism, so it commutes with [z].  Each chain starts from an affine
     point, and |z| is prime to the twist's order, so [z]P is not infinity.
     Clearing is a group homomorphism, so clear(P + Q) == clear(P) + clear(Q);
-    the sum P is taken projectively, so k points cost no more inversions
-    than one.
+    the sum P is one ``g2_add``, so k points cost no more inversions than
+    one.
     """
-    p = _g2_affine(_g2_sum(pts))
+    p = g2_add(*pts)
     if p is None:
         return None
     t1 = g2_neg(_g2_affine(_g2_mul_x(p)))  # [z]P

@@ -200,7 +200,7 @@ class DhtNode:
         over the same message the tracker would verify."""
         return tr.admit_announce(
             self.local_views, lambda uid: ct.sc_read(self.chain, self.addr_rep, uid),
-            frm, self.min_rep, rng, tr.DEFAULT_SAMPLE_CAP)
+            frm, self.min_rep, rng)
 
     def merge_view(self, infohash: bytes, records) -> None:
         for r in records:

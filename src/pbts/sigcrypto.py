@@ -144,56 +144,43 @@ def sign(sk: bytes, message: bytes) -> bytes:
 
 @lru_cache(maxsize=4096)
 def _verify_uncached(pk: bytes, message: bytes, sig: bytes) -> bool:
-    try:
-        pk_pt = _bls.g1_from_bytes(pk)
-        sig_pt = _bls.g2_from_bytes(sig)
-        if pk_pt is None or sig_pt is None:
-            return False
-        h = _bls.hash_to_g2(message)
-        return _bls.multi_pairing_is_one(
-            [(_bls.g1_neg(_bls.G1_GEN), sig_pt), (pk_pt, h)]
-        )
-    except Exception:
-        return False
+    return aggregate_verify(((pk, message),), AggregateSignature(sig, 1))
 
 
 def verify(pk: bytes, message: bytes, sig: bytes) -> bool:
     """1 iff sig is valid for (pk, message); malformed anything -> 0.
 
-    Verification is a pure function, so results are memoized — many
-    simulated nodes re-checking the same announce record costs one pairing.
+    This is ``aggregate_verify`` on the one pair: single and aggregate
+    checks are one code path.  Results are memoized — many simulated nodes
+    re-checking the same announce record costs one pairing.
     """
     return _verify_uncached(bytes(pk), bytes(message), bytes(sig))
 
 
 def aggregate(sigs) -> AggregateSignature:
     """Combine signatures; order-independent.  Raises on empty or garbage."""
-    sigs = list(sigs)
-    if not sigs:
+    pts = [_bls.g2_from_bytes(bytes(s)) for s in sigs]
+    if not pts:
         raise ValueError("nothing to aggregate")
-    acc = None
-    for s in sigs:
-        pt = _bls.g2_from_bytes(bytes(s))
-        if pt is None:
-            raise ValueError("cannot aggregate the zero signature")
-        acc = _bls.g2_add(acc, pt)
-    return AggregateSignature(data=_bls.g2_to_bytes(acc), count=len(sigs))
+    if any(pt is None for pt in pts):
+        raise ValueError("cannot aggregate the zero signature")
+    return AggregateSignature(data=_bls.g2_to_bytes(_bls.g2_add(*pts)), count=len(pts))
 
 
 def aggregate_verify(pairs, agg: AggregateSignature) -> bool:
     """1 iff agg validates every (pk, message) pair; count mismatch -> 0.
 
-    Cost: one Miller pair per distinct signer (plus one for the aggregate)
-    and one final exponentiation, however many messages each signer has.
-    Each signer's messages are mapped to the twist, summed in homogeneous
-    projective coordinates, and cleared into G2 once (three inversions per
-    signer), so the check is
-    prod_i e(pk_i, clear(sum_j map(m_ij))) == e(G1, agg).  That is
-    the per-message product: the pairing is bilinear and cofactor clearing is
-    a group homomorphism (Budroni-Pintore, eprint 2017/419).  Aggregates
-    over one signer's messages are safe because registration demands proof
-    of possession of each key, which rules out rogue keys
-    (Boneh-Drijvers-Neven, eprint 2018/483).
+    The package's one signature check (``verify`` passes one pair).  Cost:
+    one Miller pair per distinct signer, plus one for the aggregate, and one
+    final exponentiation.  A signer's several messages are mapped to the
+    twist, summed projectively and cleared into G2 once, so the check is
+    prod_i e(pk_i, clear(sum_j map(m_ij))) == e(G1, agg): the per-message
+    product, as the pairing is bilinear and clearing a group homomorphism
+    (Budroni-Pintore, eprint 2017/419).  A one-message signer takes the
+    memoised ``hash_to_g2``, the same point, so a message signed in this
+    process is not hashed again.  Aggregates over one signer's messages are
+    safe because registration demands proof of possession of each key,
+    which rules out rogue keys (Boneh-Drijvers-Neven, eprint 2018/483).
     """
     try:
         pairs = list(pairs)
@@ -202,14 +189,16 @@ def aggregate_verify(pairs, agg: AggregateSignature) -> bool:
         agg_pt = _bls.g2_from_bytes(bytes(agg.data))
         if agg_pt is None:
             return False
-        mapped = {}  # signer's pk point -> its mapped messages, first-seen order
+        msgs = {}  # signer's pk point -> its messages, first-seen order
         for pk, msg in pairs:
             pk_pt = _bls.g1_from_bytes(bytes(pk))
             if pk_pt is None:
                 return False
-            mapped.setdefault(pk_pt, []).append(_bls.map_to_curve(bytes(msg)))
+            msgs.setdefault(pk_pt, []).append(bytes(msg))
         args = [(_bls.g1_neg(_bls.G1_GEN), agg_pt)]
-        args += [(pk_pt, _bls.g2_clear_cofactor(*pts)) for pk_pt, pts in mapped.items()]
+        args += [(pk_pt, _bls.hash_to_g2(ms[0]) if len(ms) == 1
+                  else _bls.g2_clear_cofactor(*map(_bls.map_to_curve, ms)))
+                 for pk_pt, ms in msgs.items()]
         return _bls.multi_pairing_is_one(args)
     except Exception:
         return False

@@ -91,20 +91,33 @@ def scenario_to_json(sc: Scenario) -> dict:
     }
 
 
+def _json_fraction(value) -> Fraction:
+    """A JSON integer, or a string that ``Fraction`` parses exactly ("1/4",
+    "0.1"); a bool, a float or anything else is refused, not converted."""
+    try:
+        if type(value) is int or isinstance(value, str):
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"min_rep must be an integer or a fraction string, not {value!r}")
+
+
 def scenario_from_json(doc: dict) -> Scenario:
     unknown = set(doc) - _FIELDS
     if unknown:
         raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
     kwargs = {}
     if "name" in doc:
-        kwargs["name"] = str(doc["name"])
+        if not isinstance(doc["name"], str):
+            raise ValueError(f"name must be a string, not {doc['name']!r}")
+        kwargs["name"] = doc["name"]
     for f in _INT_FIELDS:
         if f in doc:
             kwargs[f] = at.json_int(doc[f], f)
     if "policy" in doc:
         kwargs["policy"] = at.policy_from_json(doc["policy"])
     if "min_rep" in doc:
-        kwargs["min_rep"] = Fraction(doc["min_rep"])
+        kwargs["min_rep"] = _json_fraction(doc["min_rep"])
     if "bandwidth" in doc:
         bw = doc["bandwidth"]
         if isinstance(bw, bool) or not isinstance(bw, (int, float)):

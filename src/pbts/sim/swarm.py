@@ -98,9 +98,7 @@ class SwarmSim:
         self.chain = ct.chain_new(self.world.allowlist, self.world.hw_root_pk, path=chain_path)
         self.pp = tr.setup(128, sc_.min_rep, sc_.init_credit, master)
         self.tracker = tr.Tracker.launch(
-            self.world, self.chain, self.pp, PROGRAM_ID, CONFIG,
-            epoch=self.ep, sample_cap=max(tr.DEFAULT_SAMPLE_CAP, sc_.peers),
-        )
+            self.world, self.chain, self.pp, PROGRAM_ID, CONFIG, epoch=self.ep)
         if self.tracker is None:
             raise RuntimeError("tracker launch failed")
         self.tracker.add_torrent(self.meta)
@@ -143,8 +141,8 @@ class SwarmSim:
         for p in self.peers[: sc_.seeders]:
             self.dht_announces += dht.dht_announce(self.net, self.nodes[p.uid], self.meta.infohash)
 
-        # t=0 announce round; sample_cap >= peers so every view is complete,
-        # and late announcers are visible to early ones too
+        # t=0 announce round; each view is then set to every other peer, so
+        # late announcers are visible to early ones too
         self.t = 0.0
         for p in self.peers:
             self._announce(p, "started")
@@ -306,16 +304,14 @@ class SwarmSim:
     # -- reporting ----------------------------------------------------------
 
     def _has_pending(self, p: PeerState) -> bool:
-        return bool(p.pending_receipts or p.pending_batches
-                    or any(srs for _, _, srs in p.pending_sessions.values()))
+        return bool(p.pending_receipts or p.pending_batches or p.pending_sessions)
 
     def _build_payload(self, p: PeerState):
         if p.pending_receipts:
             return tr.build_report(p.uid, p.kp.pk, self.meta, p.pending_receipts, self.ep)
         if p.pending_batches:
             return tr.build_batch_report(p.uid, p.kp.pk, self.meta, p.pending_batches)
-        sessions = [(cert, uid, srs) for cert, uid, srs in p.pending_sessions.values() if srs]
-        return tr.build_session_report(p.uid, p.kp.pk, self.meta, sessions)
+        return tr.build_session_report(p.uid, p.kp.pk, self.meta, p.pending_sessions.values())
 
     def _submit(self, payload, t_s: int) -> bool:
         if isinstance(payload, tr.ReportPayload):
@@ -363,8 +359,7 @@ class SwarmSim:
         t_s = self._t_s(t_ms)
         if self.sc.migrate_on_recovery:
             new = tr.migrate(self.world, self.chain, self.tracker.addr, self.pp,
-                             PROGRAM_ID, CONFIG, epoch=self.ep,
-                             sample_cap=max(tr.DEFAULT_SAMPLE_CAP, self.sc.peers))
+                             PROGRAM_ID, CONFIG, epoch=self.ep)
             if new is None:
                 raise RuntimeError("migration failed")
             self.tracker = new

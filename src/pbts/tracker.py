@@ -76,13 +76,12 @@ def announce_msg(uid: bytes, tid: bytes, event: str) -> bytes:
     )
 
 
-def admit_announce(views: dict, read, frm, min_rep, rng: random.Random,
-                   sample_cap: int):
+def admit_announce(views: dict, read, frm, min_rep, rng: random.Random):
     """The one announce-admission rule, for the tracker and for peers serving
     announces from their local view.  *frm* is (uid, pk, sig, tid, event, ip,
     port); *read(uid)* returns uid's reputation record, or None when there is
-    none to be had.  Updates ``views[tid]`` and returns a peer sample, or []
-    when the announce is refused."""
+    none to be had.  Updates ``views[tid]`` and returns a sample of at most
+    ``DEFAULT_SAMPLE_CAP`` peers, or [] when the announce is refused."""
     uid, pk, sig, tid, event, ip, port = frm
     if event not in EVENTS:
         return []
@@ -99,7 +98,7 @@ def admit_announce(views: dict, read, frm, min_rep, rng: random.Random,
     else:
         view[pk] = (ip, port)
     others = sorted(p for p in view if p != pk)
-    picked = rng.sample(others, min(sample_cap, len(others)))
+    picked = rng.sample(others, min(DEFAULT_SAMPLE_CAP, len(others)))
     return [(p, view[p][0], view[p][1]) for p in picked]
 
 
@@ -175,7 +174,7 @@ def build_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, entries,
 
 def build_session_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, sessions,
                          delta_down: int = 0) -> SessionReportPayload:
-    """*sessions* is a list of (cert, downloader uid, [session receipts])."""
+    """*sessions* is an iterable of (cert, downloader uid, [session receipts])."""
     peers, certs, items = [], [], []
     total = 0
     for ci, (cert, peer_uid, srs) in enumerate(sessions):
@@ -192,7 +191,7 @@ def build_session_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, sessions,
         peers=tuple(peers),
         meta=meta,
         certs=tuple(certs),
-        agg_sig=at.aggregate_session_certs(certs),
+        agg_sig=sc.aggregate(c.sig for c in certs),
         items=tuple(items),
         delta_up=total,
         delta_down=delta_down,
@@ -230,13 +229,10 @@ def build_batch_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, entries,
 class Tracker:
     pp: PublicParams
     epoch: at.EpochParams
-    world: encl.EnclaveWorld
     chain: ct.Chain
     addr: bytes
-    measurement: bytes
     quote: encl.AttestationQuote
     auth: sc.KeyPair
-    sample_cap: int = DEFAULT_SAMPLE_CAP
     swarms: dict = field(default_factory=dict)    # tid -> {pk: (ip, port)}
     torrents: dict = field(default_factory=dict)  # infohash -> TorrentMeta
     recent: dict = field(default_factory=dict)    # ReceiptID -> insertion epoch
@@ -248,11 +244,11 @@ class Tracker:
     def launch(cls, world: encl.EnclaveWorld, chain: ct.Chain, pp: PublicParams,
                program_id: bytes, config: bytes,
                epoch: at.EpochParams | None = None,
-               sample_cap: int = DEFAULT_SAMPLE_CAP,
                ref_addr: bytes | None = None):
         """Provision a tracker instance: measure, attest, derive the contract
-        owner key from the KMS, and deploy the reputation contract.  Returns
-        None when the measurement is not allowlisted or deployment fails."""
+        owner key from the KMS, and deploy the reputation contract, with
+        *ref_addr* as its referrer if given.  Returns None, the chain
+        untouched, when the KMS or ``sc_init`` refuses."""
         m = encl.measure(program_id, config)
         boot_quote = encl.attest_quote(world, m, b"\x00" * encl.NONCE_LEN)
         root = encl.kms_derive(world, boot_quote)
@@ -269,13 +265,10 @@ class Tracker:
         return cls(
             pp=pp,
             epoch=epoch or at.EpochParams(),
-            world=world,
             chain=chain,
             addr=addr,
-            measurement=m,
             quote=quote,
             auth=auth,
-            sample_cap=sample_cap,
             rng=random.Random(int.from_bytes(sc.hash_data(root.sk + pp.iid)[:8], "big")),
         )
 
@@ -309,8 +302,7 @@ class Tracker:
                  ip: str, port: int, rng: random.Random | None = None):
         return admit_announce(
             self.swarms, lambda u: ct.sc_read(self.chain, self.addr, u),
-            (uid, pk, sig, tid, event, ip, port), self.pp.min_rep,
-            rng or self.rng, self.sample_cap)
+            (uid, pk, sig, tid, event, ip, port), self.pp.min_rep, rng or self.rng)
 
     # -- reports -------------------------------------------------------------
 
@@ -447,19 +439,10 @@ class Tracker:
 
 def migrate(world: encl.EnclaveWorld, chain: ct.Chain, addr_old: bytes,
             pp_new: PublicParams, program_id: bytes, config: bytes,
-            epoch: at.EpochParams | None = None,
-            sample_cap: int = DEFAULT_SAMPLE_CAP):
-    """Stand up a successor tracker whose contract inherits from *addr_old*.
-    Returns the new Tracker, or None when attestation or deployment fails.
-    Records two migrations back are unreachable by design: the new contract
-    reads fall through exactly one referrer hop."""
-    if addr_old not in chain.contracts:
-        return None
-    m = encl.measure(program_id, config)
-    probe = encl.attest_quote(world, m, b"\x00" * encl.NONCE_LEN)
-    if not encl.verify_quote(probe, chain.allowlist, chain.hw_root_pk):
-        return None
-    return Tracker.launch(
-        world, chain, pp_new, program_id, config,
-        epoch=epoch, sample_cap=sample_cap, ref_addr=addr_old,
-    )
+            epoch: at.EpochParams | None = None):
+    """``Tracker.launch`` of a successor whose contract names *addr_old* as
+    its referrer; None when the KMS or ``sc_init`` refuses.  Records two
+    migrations back are unreachable by design: the new contract's reads fall
+    through exactly one referrer hop."""
+    return Tracker.launch(world, chain, pp_new, program_id, config,
+                          epoch=epoch, ref_addr=addr_old)

@@ -154,11 +154,15 @@ class TestReceipts:
         other, _ = make_meta(name="other")
         assert not at.verify_receipt(r, other, self.now, EP)
 
-    def test_receipt_id_distinguishes(self):
+    def test_receipt_key_distinguishes(self):
+        def key(r):
+            return at.receipt_key(r.infohash, r.sender_pk, r.receiver_pk,
+                                  r.piece_hash, r.index, r.epoch)
+
         a = self.attest(i=0)
         b = self.attest(i=1)
-        assert at.receipt_id(a) != at.receipt_id(b)
-        assert at.receipt_id(a) == at.receipt_id(self.attest(i=0))
+        assert key(a) != key(b)
+        assert key(a) == key(self.attest(i=0))
 
     def test_message_domain_separated_from_atom_framing(self):
         # the receipt message opens with a BYTES field; every other signed
@@ -338,7 +342,7 @@ class TestSessions:
         senders = [sc.keygen(bytes([0x30 + i]) * 32) for i in range(3)]
         certs = [at.open_session(self.recv, self.meta.infohash, s.pk, self.now, EP)[0]
                  for s in senders]
-        agg = at.aggregate_session_certs(certs)
+        agg = sc.aggregate(c.sig for c in certs)
 
         def pairs(cs):
             return [(c.receiver_pk, at.cert_msg(c)) for c in cs]

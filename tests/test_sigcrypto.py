@@ -1,8 +1,10 @@
 """Signature schemes and canonical framing."""
 
+import ast
 import random
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -170,6 +172,10 @@ class TestAggregation:
             sc.aggregate([])
         with pytest.raises(Exception):
             sc.aggregate([b"\xff" * 96])
+        sig = sc.sign(sc.keygen(b"\x09" * 32).sk, b"m")
+        for sigs in ([bls.g2_to_bytes(None)], [sig, bls.g2_to_bytes(None)]):
+            with pytest.raises(ValueError, match="zero signature"):
+                sc.aggregate(sigs)
 
 
 # three signers for the grouped-verification tests; each signs many messages
@@ -613,6 +619,78 @@ class TestG2Subgroup:
         assert not sc.verify(self.KP.pk, self.MSG, forged)
         assert not sc.aggregate_verify([(self.KP.pk, self.MSG)],
                                        sc.AggregateSignature(forged, 1))
+
+
+# one signature check: the single-pair ``verify`` is ``aggregate_verify`` on
+# that pair, so every case below must get one answer from both
+_KP_A, _KP_B = sc.keygen(b"\x31" * 32), sc.keygen(b"\x32" * 32)
+_MSG_A, _MSG_B = b"one-path-a", b"one-path-b"
+
+
+@lru_cache(maxsize=None)
+def _one_path_cases():
+    sig_a, sig_b = sc.sign(_KP_A.sk, _MSG_A), sc.sign(_KP_B.sk, _MSG_B)
+    shifted = bls.g2_to_bytes(bls.g2_add(bls.g2_from_bytes(sig_a), G2_TORSION))
+    return {
+        "honest": (_KP_A.pk, _MSG_A, sig_a, True),
+        "tampered_message": (_KP_A.pk, _MSG_A + b"!", sig_a, False),
+        "wrong_key": (_KP_B.pk, _MSG_A, sig_a, False),
+        "messages_swapped": (_KP_A.pk, _MSG_B, sig_a, False),
+        "swapped_with_its_signature": (_KP_A.pk, _MSG_B, sig_b, False),
+        "infinity_signature": (_KP_A.pk, _MSG_A, bls.g2_to_bytes(None), False),
+        "infinity_key": (bls.g1_to_bytes(None), _MSG_A, sig_a, False),
+        "signature_plus_torsion": (_KP_A.pk, _MSG_A, shifted, False),
+        "garbage_signature": (_KP_A.pk, _MSG_A, b"junk", False),
+        "garbage_key": (b"\xff" * 48, _MSG_A, sig_a, False),
+    }
+
+
+class TestOneVerificationPath:
+    @pytest.mark.parametrize("case", [
+        "honest", "tampered_message", "wrong_key", "messages_swapped",
+        "swapped_with_its_signature", "infinity_signature", "infinity_key",
+        "signature_plus_torsion", "garbage_signature", "garbage_key"])
+    def test_single_and_aggregate_agree(self, case):
+        pk, msg, sig, want = _one_path_cases()[case]
+        assert sc.verify(pk, msg, sig) is want
+        assert sc.aggregate_verify([(pk, msg)], sc.AggregateSignature(sig, 1)) is want
+
+    def test_one_message_signer_hits_the_hash_memo(self):
+        kp, msg = sc.keygen(b"\x33" * 32), b"one-path-memo"
+        sig = sc.sign(kp.sk, msg)  # hashes msg once
+        before = bls.hash_to_g2.cache_info()
+        assert sc.aggregate_verify([(kp.pk, msg)], sc.AggregateSignature(sig, 1))
+        after = bls.hash_to_g2.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_aggregate_is_the_pairwise_sum(self, n):
+        sigs = [_sig(i % len(SIGNERS), b"sum-%d" % i) for i in range(n)]
+        pts = [bls.g2_from_bytes(s) for s in sigs]
+        chain = pts[0]
+        for pt in pts[1:]:
+            chain = bls.g2_add(chain, pt)
+        assert sc.aggregate(sigs) == sc.AggregateSignature(bls.g2_to_bytes(chain), n)
+        assert bls.g2_add(*pts) == chain
+        assert bls.g2_add() is None
+
+
+def test_multi_pairing_is_one_has_one_caller():
+    """Every signature check of the package is ``aggregate_verify``: a second
+    reference to the pairing check would be a second verification path."""
+    pkg = Path(bls.__file__).parent
+    sites = []
+    for path in sorted(pkg.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+            if field and getattr(node, field) == "multi_pairing_is_one":
+                scope = parents[node]
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                sites.append((path.relative_to(pkg).as_posix(), getattr(scope, "name", None)))
+    assert sites == [("sigcrypto.py", "aggregate_verify")]
 
 
 class TestSessionScheme:

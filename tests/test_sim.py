@@ -161,6 +161,8 @@ class TestScenarioJson:
         doc = scn.scenario_to_json(sc)
         assert doc["min_rep"] == "355/113"
         assert scn.scenario_from_json(doc).min_rep == Fraction(355, 113)
+        assert scn.scenario_from_json({"min_rep": "0.1"}).min_rep == Fraction(1, 10)
+        assert scn.scenario_from_json({"min_rep": 2}).min_rep == 2
 
     def test_unknown_field_rejected(self):
         doc = scn.scenario_to_json(scn.Scenario())
@@ -180,6 +182,13 @@ class TestScenarioJson:
         {"migrate_on_recovery": 0},
         {"bandwidth": True},
         {"bandwidth": "2048"},
+        {"min_rep": True},
+        {"min_rep": 0.1},      # a float is a binary fraction, not 1/10
+        {"min_rep": "1/0"},
+        {"min_rep": None},
+        {"min_rep": [1, 4]},
+        {"name": 5},
+        {"name": None},
     ])
     def test_wrong_json_type_refused(self, doc):
         with pytest.raises(ValueError):

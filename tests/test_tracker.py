@@ -162,9 +162,9 @@ class TestAnnounce:
         assert env.t.announce(uid, kp.pk, env.ann_sig(kp, uid, "started"),
                               env.meta.infohash, "scrape", "ip", 1) == []
 
-    def test_sample_respects_cap(self):
+    def test_sample_respects_cap(self, monkeypatch):
         e = Env(users=8)
-        e.t.sample_cap = 3
+        monkeypatch.setattr(tr, "DEFAULT_SAMPLE_CAP", 3)
         for uid, kp in e.users[:7]:
             e.t.announce(uid, kp.pk, e.ann_sig(kp, uid, "started"),
                          e.meta.infohash, "started", "ip", 1)
@@ -244,9 +244,11 @@ class TestReport:
     def test_expired_receipt_rejected_even_after_gc(self, env):
         r = env.receipt(1, 0, 6)
         assert env.t.report(env.report_for(0, [(r, b"u1")]), NOW)
+        rid = at.receipt_key(r.infohash, r.sender_pk, r.receiver_pk, r.piece_hash, r.index, r.epoch)
+        assert rid in env.t.recent
         later = NOW + (env.t.epoch.delta + 2) * W
         env.t.gc_recent(later)
-        assert at.receipt_id(r) not in {rid for rid in env.t.recent if isinstance(rid, tuple)}
+        assert rid not in env.t.recent
         assert not env.t.report(env.report_for(0, [(r, b"u1")]), later)
 
     def test_delta_down_negative_rejected(self, env):
@@ -299,7 +301,7 @@ class TestSessionReport:
         sr = at.session_attest(skp.sk, cert, env.contents[0], 0, NOW, env.t.epoch)
         payload = tr.SessionReportPayload(
             uid=uid0, pk=kp0.pk, peers=((kp1.pk, uid1),), meta=env.meta,
-            certs=(cert,), agg_sig=at.aggregate_session_certs([cert]),
+            certs=(cert,), agg_sig=sc.aggregate([cert.sig]),
             items=((0, sr),), delta_up=700, delta_down=0)
         assert not env.t.report_session(payload, NOW)
 
@@ -360,8 +362,26 @@ class TestMigrate:
         stranger = encl.world_new(seed=777)
         assert tr.migrate(stranger, env.chain, env.t.addr, env.pp, PROG, CFG) is None
 
-    def test_unknown_source_rejected(self, env):
-        assert tr.migrate(env.world, env.chain, b"\x00" * 20, env.pp, PROG, CFG) is None
+    @pytest.mark.parametrize("cause", ["unknown_referrer", "off_chain_allowlist", "foreign_world"])
+    def test_refused_migration_changes_nothing(self, tmp_path, cause):
+        """``sc_init`` is the one check of a migration, and it refuses
+        before anything is written or logged."""
+        path = tmp_path / "chain.log"
+        env = Env(users=1, chain_path=str(path))
+        world, cfg, ref = env.world, CFG, env.t.addr
+        if cause == "unknown_referrer":
+            ref = b"\x00" * 20
+        elif cause == "off_chain_allowlist":  # the KMS releases a key, the chain refuses
+            cfg = b"cfg-2"
+            world.allowlist.add(encl.measure(PROG, cfg))
+        else:  # allowlisted by its own hardware root, which the chain does not know
+            world = encl.world_new(seed=777)
+            world.allowlist.add(encl.measure(PROG, CFG))
+        state, log = ct.serialize_state(env.chain), path.read_bytes()
+        assert tr.migrate(world, env.chain, ref, env.pp, PROG, cfg) is None
+        assert ct.serialize_state(env.chain) == state
+        assert path.read_bytes() == log
+        env.chain.close()
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +495,11 @@ def test_refusal_leaves_chain_and_dedup_untouched(env, kind, refusal):
 def test_refused_write_spends_no_receipt(env, kind):
     payload = make_report(env, kind)
     digest, recent = ct.state_digest(env.chain), dict(env.t.recent)
-    env.chain.allowlist.discard(env.t.measurement)  # contract writes now fail
+    env.chain.allowlist.discard(env.t.quote.measurement)  # contract writes now fail
     assert not getattr(env.t, kind)(payload, NOW)
     assert ct.state_digest(env.chain) == digest
     assert env.t.recent == recent
-    env.chain.allowlist.add(env.t.measurement)
+    env.chain.allowlist.add(env.t.quote.measurement)
     assert getattr(env.t, kind)(payload, NOW)
     assert ct.sc_read(env.chain, env.t.addr, b"u0").up == 4096 + 6 * 700
     for uid in (b"u1", b"u2", b"u3"):
