@@ -1,6 +1,6 @@
 """Receipted piece transfers: per-piece, adaptive, batched, and session modes.
 
-A receipt is a downloader's signed statement that it received piece *i* of a
+A receipt is a downloader's signed statement that it received pieces of a
 torrent from a particular sender during an epoch.  Epochs discretize time
 into fixed windows; verifiers accept receipts from the current window and the
 ``delta`` preceding ones, so a receipt is replayable only inside a bounded
@@ -12,10 +12,16 @@ Attestation policies trade signature count against verification cost:
 * per-piece -- one long-term signature per piece (n signatures).
 * adaptive  -- full coverage of the first and last runs of pieces plus a
                strided sample in between.
-* batch     -- one signature per k pieces, over a Merkle root of
-               position-bound piece digests.
+* batch     -- one signature per k pieces.
 * session   -- one long-term signature certifying an ephemeral session key,
                then one cheap session signature per piece.
+
+The first three issue one kind of long-term receipt: a signature over a
+Merkle root of position-bound piece digests, with one message
+(``pieces_msg``) and one check (``verify_receipt``).  A per-piece receipt is
+the batch of one, whose root is its one leaf.  Whatever kind carries a piece,
+its replay id is the same (``piece_ids``), so a piece is credited at most
+once inside the window.
 
 A policy's rules (JSON name, signature count, coverage, scheme) live on its
 class; no other module tests a policy's type to learn them.
@@ -105,80 +111,7 @@ def piece_len(meta: TorrentMeta, index: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-piece receipts
-
-
-@dataclass(frozen=True)
-class Receipt:
-    infohash: bytes
-    sender_pk: bytes
-    receiver_pk: bytes
-    piece_hash: bytes
-    index: int
-    epoch: int
-    sig: bytes
-
-
-def receipt_msg(infohash: bytes, sender_pk: bytes, piece_hash: bytes, index: int, epoch: int) -> bytes:
-    # No leading atom: a receipt is the only signed message whose first field
-    # is a bare byte string, so the encoding is already domain-separated.
-    return sc.canonical_encode(
-        [
-            (sc.TAG_BYTES, infohash),
-            (sc.TAG_PUBKEY, sender_pk),
-            (sc.TAG_DIGEST, piece_hash),
-            (sc.TAG_UINT, sc.enc_uint(index)),
-            (sc.TAG_UINT, sc.enc_uint(epoch)),
-        ]
-    )
-
-
-def attest(receiver: sc.KeyPair, infohash: bytes, sender_pk: bytes, piece: bytes,
-           index: int, t: int, params: EpochParams) -> Receipt:
-    """Sign a receipt for a received piece at wall-clock time *t*."""
-    piece_hash = sc.hash_data(piece)
-    epoch = epoch_of(t, params)
-    sig = sc.sign(receiver.sk, receipt_msg(infohash, sender_pk, piece_hash, index, epoch))
-    return Receipt(
-        infohash=infohash,
-        sender_pk=sender_pk,
-        receiver_pk=receiver.pk,
-        piece_hash=piece_hash,
-        index=index,
-        epoch=epoch,
-        sig=sig,
-    )
-
-
-def verify_receipt(receipt: Receipt, meta: TorrentMeta | None, t_now: int,
-                   params: EpochParams, skew: int = 0) -> bool:
-    """Check a receipt.  With *meta* the piece digest is bound to the torrent;
-    without it only the signature and epoch window are checked."""
-    try:
-        if meta is not None:
-            if receipt.infohash != meta.infohash:
-                return False
-            if not piece_matches(meta, receipt.index, receipt.piece_hash):
-                return False
-        if not epoch_within_skew(receipt.epoch, epoch_of(t_now, params), params, skew):
-            return False
-        msg = receipt_msg(
-            receipt.infohash, receipt.sender_pk, receipt.piece_hash, receipt.index, receipt.epoch
-        )
-        return sc.verify(receipt.receiver_pk, msg, receipt.sig)
-    except Exception:
-        return False
-
-
-def receipt_key(infohash: bytes, sender_pk: bytes, receiver_pk: bytes,
-                piece_hash: bytes, index: int, epoch: int):
-    """Replay-detection key: everything the signature commits to, plus the
-    signer.  Two receipts with the same key are the same attested event."""
-    return (infohash, sender_pk, receiver_pk, piece_hash, index, epoch)
-
-
-# ---------------------------------------------------------------------------
-# batched receipts over a Merkle root
+# long-term receipts: one signature over a Merkle root of the pieces
 
 
 def _merkle_leaf(index: int, piece_hash: bytes) -> bytes:
@@ -208,6 +141,23 @@ def merkle_root(leaves) -> bytes:
 
 
 @dataclass(frozen=True)
+class Receipt:
+    """A long-term receipt for one piece: the batch of one."""
+
+    infohash: bytes
+    sender_pk: bytes
+    receiver_pk: bytes
+    piece_hash: bytes
+    index: int
+    epoch: int
+    sig: bytes
+
+    @property
+    def pieces(self) -> tuple:
+        return ((self.index, self.piece_hash),)
+
+
+@dataclass(frozen=True)
 class BatchReceipt:
     infohash: bytes
     sender_pk: bytes
@@ -217,6 +167,60 @@ class BatchReceipt:
     epoch: int
     sig: bytes
 
+    @property
+    def pieces(self) -> tuple:
+        """((index, piece hash), ...), or () when the two columns differ in
+        length, which no signed message describes."""
+        if len(self.indices) != len(self.piece_hashes):
+            return ()
+        return tuple(zip(self.indices, self.piece_hashes))
+
+
+def pieces_msg(infohash: bytes, sender_pk: bytes, pieces, epoch: int) -> bytes:
+    """The message every long-term receipt signs: the torrent, the sender,
+    the epoch and the Merkle root of position-bound (index, piece hash)
+    leaves.  Over one leaf the root is that leaf, so a per-piece receipt is
+    the batch of one."""
+    root = merkle_root([_merkle_leaf(i, h) for i, h in pieces])
+    return sc.canonical_encode(
+        [
+            (sc.TAG_ATOM, b"batch-receipt"),
+            (sc.TAG_BYTES, infohash),
+            (sc.TAG_PUBKEY, sender_pk),
+            (sc.TAG_DIGEST, root),
+            (sc.TAG_UINT, sc.enc_uint(epoch)),
+        ]
+    )
+
+
+def receipt_msg(infohash: bytes, sender_pk: bytes, piece_hash: bytes, index: int, epoch: int) -> bytes:
+    return pieces_msg(infohash, sender_pk, ((index, piece_hash),), epoch)
+
+
+def signed_msg(r, meta: TorrentMeta | None):
+    """The message receipt *r*'s signature covers, or None when *r* is
+    malformed (no pieces, unsorted or repeated indices, an epoch that does
+    not fit 8 bytes) or, given *meta*, claims a piece the torrent does not
+    have."""
+    pieces = r.pieces
+    indices = [i for i, _ in pieces]
+    if not pieces or indices != sorted(set(indices)) or not sc.fits_uint(r.epoch):
+        return None
+    if meta is not None:
+        if r.infohash != meta.infohash:
+            return None
+        if not all(piece_matches(meta, i, h) for i, h in pieces):
+            return None
+    return pieces_msg(r.infohash, r.sender_pk, pieces, r.epoch)
+
+
+def attest(receiver: sc.KeyPair, infohash: bytes, sender_pk: bytes, piece: bytes,
+           index: int, t: int, params: EpochParams) -> Receipt:
+    """Sign a receipt for a received piece at wall-clock time *t*."""
+    r = Receipt(infohash, sender_pk, receiver.pk, sc.hash_data(piece), index,
+                epoch_of(t, params), b"")
+    return replace(r, sig=sc.sign(receiver.sk, signed_msg(r, None)))
+
 
 def batch_attest(receiver: sc.KeyPair, infohash: bytes, sender_pk: bytes,
                  pieces: dict, t: int, params: EpochParams) -> BatchReceipt:
@@ -224,58 +228,29 @@ def batch_attest(receiver: sc.KeyPair, infohash: bytes, sender_pk: bytes,
     if not pieces:
         raise ValueError("empty batch")
     indices = tuple(sorted(pieces))
-    br = BatchReceipt(
-        infohash=infohash,
-        sender_pk=sender_pk,
-        receiver_pk=receiver.pk,
-        indices=indices,
-        piece_hashes=tuple(sc.hash_data(pieces[i]) for i in indices),
-        epoch=epoch_of(t, params),
-        sig=b"",
-    )
-    return replace(br, sig=sc.sign(receiver.sk, batch_msg(br, None)))
+    br = BatchReceipt(infohash, sender_pk, receiver.pk, indices,
+                      tuple(sc.hash_data(pieces[i]) for i in indices), epoch_of(t, params), b"")
+    return replace(br, sig=sc.sign(receiver.sk, signed_msg(br, None)))
 
 
-def batch_msg(br: BatchReceipt, meta: TorrentMeta | None):
-    """The message a batch receipt's signature covers, or None when the batch
-    is malformed (empty, unsorted or repeated indices, an epoch that does not
-    fit 8 bytes) or, given *meta*, claims a piece the torrent does not have."""
-    if len(br.indices) != len(br.piece_hashes) or not br.indices:
-        return None
-    if not sc.fits_uint(br.epoch):
-        return None
-    if list(br.indices) != sorted(set(br.indices)):
-        return None
-    if meta is not None:
-        if br.infohash != meta.infohash:
-            return None
-        if not all(piece_matches(meta, i, h) for i, h in zip(br.indices, br.piece_hashes)):
-            return None
-    root = merkle_root([_merkle_leaf(i, h) for i, h in zip(br.indices, br.piece_hashes)])
-    return sc.canonical_encode(
-        [
-            (sc.TAG_ATOM, b"batch-receipt"),
-            (sc.TAG_BYTES, br.infohash),
-            (sc.TAG_PUBKEY, br.sender_pk),
-            (sc.TAG_DIGEST, root),
-            (sc.TAG_UINT, sc.enc_uint(br.epoch)),
-        ]
-    )
-
-
-def verify_batch(br: BatchReceipt, meta: TorrentMeta | None, t_now: int,
-                 params: EpochParams, skew: int = 0) -> bool:
+def verify_receipt(r, meta: TorrentMeta | None, t_now: int,
+                   params: EpochParams, skew: int = 0) -> bool:
+    """Check a long-term receipt of either shape.  With *meta* each piece
+    digest is bound to the torrent; without it only the signature and the
+    epoch window are checked."""
     try:
-        if not epoch_within_skew(br.epoch, epoch_of(t_now, params), params, skew):
+        if not epoch_within_skew(r.epoch, epoch_of(t_now, params), params, skew):
             return False
-        msg = batch_msg(br, meta)
-        return msg is not None and sc.verify(br.receiver_pk, msg, br.sig)
+        msg = signed_msg(r, meta)
+        return msg is not None and sc.verify(r.receiver_pk, msg, r.sig)
     except Exception:
         return False
 
 
-def batch_id(br: BatchReceipt):
-    return (br.infohash, br.sender_pk, br.receiver_pk, br.indices, br.piece_hashes, br.epoch)
+def piece_ids(infohash: bytes, sender_pk: bytes, receiver_pk: bytes, pieces, epoch: int):
+    """The replay id of each piece a receipt of any kind credits.  Two credits
+    with one id are the same transfer, whichever kind carried them."""
+    return [(infohash, sender_pk, receiver_pk, i, h, epoch) for i, h in pieces]
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +485,8 @@ def json_int(value, what: str) -> int:
 
 
 def policy_from_json(doc: dict):
+    if type(doc) is not dict or "policy" not in doc:
+        raise ValueError(f"a policy must be an object with a 'policy' name, not {doc!r}")
     params = dict(doc)
     name = params.pop("policy")
     cls = _POLICY_CLASSES.get(name)

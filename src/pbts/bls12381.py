@@ -17,9 +17,8 @@ signer with one message takes the memoised ``hash_to_g2``, the same point.
 
 Performance notes, since this runs on CPython:
 
-* field elements are plain ints, or ``gmpy2.mpz`` where gmpy2 is installed
-  (the shim lives in :mod:`pbts.weierstrass`, with the G1 group law that
-  secp256k1 shares); the tests and the benchmark run the plain-int path;
+* field elements are plain ints (the G1 group law, which secp256k1 shares,
+  lives in :mod:`pbts.weierstrass`);
 * the Miller loop keeps each twist point T in homogeneous coordinates, so a
   doubling or addition step makes no inversion: it yields the next T and the
   line's coefficients (sparse in slots w^0, w^3, w^5) directly, each line
@@ -61,38 +60,37 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from . import weierstrass as wei
-from .weierstrass import ONE as _ONE, ZERO as _ZERO, inv as _inv, mpz, powmod
 
 
 # ---------------------------------------------------------------------------
 # curve constants
 
-P = mpz(0x1A0111EA397FE69A4B1BA7B6434BACD764774B84F38512BF6730D2A0F6B0F6241EABFFFEB153FFFFB9FEFFFFFFFFAAAB)
-R = mpz(0x73EDA753299D7D483339D80809A1D80553BDA402FFFE5BFEFFFFFFFF00000001)
+P = 0x1A0111EA397FE69A4B1BA7B6434BACD764774B84F38512BF6730D2A0F6B0F6241EABFFFEB153FFFFB9FEFFFFFFFFAAAB
+R = 0x73EDA753299D7D483339D80809A1D80553BDA402FFFE5BFEFFFFFFFF00000001
 # the BLS parameter z is negative; X = |z|
-X = mpz(0xD201000000010000)
+X = 0xD201000000010000
 _X_BITS = [int(b) for b in bin(X)[3:]]  # skip the leading 1: 63 bits, 5 set
-B1 = mpz(4)  # E:  y^2 = x^3 + 4
+B1 = 4  # E:  y^2 = x^3 + 4
 _HALF_P = (P - 1) >> 1
-_INV2 = _inv(mpz(2), P)
+_INV2 = pow(2, -1, P)
 
 G1_GEN = (
-    mpz(0x17F1D3A73197D7942695638C4FA9AC0FC3688C4F9774B905A14E3A3F171BAC586C55E83FF97A1AEFFB3AF00ADB22C6BB),
-    mpz(0x08B3F481E3AAA0F1A09E30ED741D8AE4FCF5E095D5D00AF600DB18CB2C04B3EDD03CC744A2888AE40CAA232946C5E7E1),
+    0x17F1D3A73197D7942695638C4FA9AC0FC3688C4F9774B905A14E3A3F171BAC586C55E83FF97A1AEFFB3AF00ADB22C6BB,
+    0x08B3F481E3AAA0F1A09E30ED741D8AE4FCF5E095D5D00AF600DB18CB2C04B3EDD03CC744A2888AE40CAA232946C5E7E1,
 )
 G2_GEN = (
     (
-        mpz(0x024AA2B2F08F0A91260805272DC51051C6E47AD4FA403B02B4510B647AE3D1770BAC0326A805BBEFD48056C8C121BDB8),
-        mpz(0x13E02B6052719F607DACD3A088274F65596BD0D09920B61AB5DA61BBDC7F5049334CF11213945D57E5AC7D055D042B7E),
+        0x024AA2B2F08F0A91260805272DC51051C6E47AD4FA403B02B4510B647AE3D1770BAC0326A805BBEFD48056C8C121BDB8,
+        0x13E02B6052719F607DACD3A088274F65596BD0D09920B61AB5DA61BBDC7F5049334CF11213945D57E5AC7D055D042B7E,
     ),
     (
-        mpz(0x0CE5D527727D6E118CC9CDC6DA2E351AADFD9BAA8CBDD3A76D429A695160D12C923AC9CC3BACA289E193548608B82801),
-        mpz(0x0606C4A02EA734CC32ACD2B02BC28B99CB3E287E85A763AF267492AB572E99AB3F370D275CEC1DA1AAA9075FF05F79BE),
+        0x0CE5D527727D6E118CC9CDC6DA2E351AADFD9BAA8CBDD3A76D429A695160D12C923AC9CC3BACA289E193548608B82801,
+        0x0606C4A02EA734CC32ACD2B02BC28B99CB3E287E85A763AF267492AB572E99AB3F370D275CEC1DA1AAA9075FF05F79BE,
     ),
 )
 
-FQ2_ZERO = (_ZERO, _ZERO)
-FQ2_ONE = (_ONE, _ZERO)
+FQ2_ZERO = (0, 0)
+FQ2_ONE = (1, 0)
 
 # ---------------------------------------------------------------------------
 # Fq
@@ -100,8 +98,8 @@ FQ2_ONE = (_ONE, _ZERO)
 def fq_sqrt(a):
     """Square root in Fq (p = 3 mod 4), or None if a is a non-residue."""
     if a == 0:
-        return _ZERO
-    c = powmod(a, (P + 1) >> 2, P)
+        return 0
+    c = pow(a, (P + 1) >> 2, P)
     if c * c % P == a:
         return c
     return None
@@ -152,7 +150,7 @@ def fq2_mul_xi(a):
 
 def fq2_inv(a):
     a0, a1 = a
-    d = _inv((a0 * a0 + a1 * a1) % P, P)
+    d = pow((a0 * a0 + a1 * a1) % P, -1, P)
     return (a0 * d % P, -a1 * d % P)
 
 
@@ -172,25 +170,25 @@ def fq2_sqrt(a):
     if a1 == 0:
         s = fq_sqrt(a0)
         if s is not None:
-            return (s, _ZERO)
+            return (s, 0)
         s = fq_sqrt(-a0 % P)
-        return None if s is None else (_ZERO, s)
+        return None if s is None else (0, s)
     n = (a0 * a0 + a1 * a1) % P
     s = fq_sqrt(n)
     if s is None:
         return None
     t = (a0 + s) * _INV2 % P
-    c = powmod(t, (P + 1) >> 2, P)
+    c = pow(t, (P + 1) >> 2, P)
     if c * c % P == t:
-        cand = (c, a1 * _inv(c << 1, P) % P)
+        cand = (c, a1 * pow(c << 1, -1, P) % P)
     else:  # c^2 = -t, so (a0 - s)/2 = -a1^2/(4t) has the root a1/(2c)
-        cand = (a1 * _inv(c << 1, P) % P, c)
+        cand = (a1 * pow(c << 1, -1, P) % P, c)
     if fq2_sq(cand) != (a0 % P, a1 % P):
         return None
     return cand
 
 
-XI = (_ONE, _ONE)  # 1 + u
+XI = (1, 1)  # 1 + u
 B2 = fq2_scale(XI, 4)  # twist:  y^2 = x^3 + 4(1+u)
 
 
@@ -453,7 +451,7 @@ def _add(t, q, nx, yp):
              t0 * nx % P, t1 * nx % P))
 
 
-_G2_INF = (_ZERO, _ZERO, _ONE, _ZERO, _ZERO, _ZERO)
+_G2_INF = (0, 0, 1, 0, 0, 0)
 
 
 def _g2_madd(t, q):
@@ -466,7 +464,7 @@ def _g2_madd(t, q):
     if q is None:
         return t
     if not (t[4] or t[5]):
-        return (*q[0], *q[1], _ONE, _ZERO)
+        return (*q[0], *q[1], 1, 0)
     s = _add(t, q, 0, 0)[0]
     return s if any(s) else _double(t, 0, 0)[0]
 
@@ -532,7 +530,7 @@ def g2_mul(pt, k):
     if pt is None or not k:
         return None
     digits = [k // X**i % X for i in range(4)]
-    mults = [None, (*pt[0], *pt[1], _ONE, _ZERO)]  # mults[m] = mP, projective
+    mults = [None, (*pt[0], *pt[1], 1, 0)]  # mults[m] = mP, projective
     for m in range(2, 16):
         mults.append(_g2_madd(mults[m - 1], pt) if m & 1 else _double(mults[m >> 1], 0, 0)[0])
     odd = mults[1::2]
@@ -626,14 +624,14 @@ def g2_clear_cofactor(*pts):
 
 def _check_clear_cofactor():
     # a fixed non-subgroup curve point: x = small counter until x^3+b is square
-    x = (_ONE, _ZERO)
+    x = (1, 0)
     while True:
         rhs = fq2_add(fq2_mul(fq2_sq(x), x), B2)
         y = fq2_sqrt(rhs)
         if y is not None:
             pt = (x, y)
             break
-        x = (x[0] + 1, _ZERO)
+        x = (x[0] + 1, 0)
     q = g2_clear_cofactor(pt)
     def mul_x2(p):
         return _g2_affine(_g2_mul_x(_g2_affine(_g2_mul_x(p))))
@@ -658,7 +656,7 @@ def _miller_loop(pairs):
     to a factor in Fq2 (see the module notes: the exponentiation removes it).
     """
     ps = [(-3 * p[0] % P, -p[0] % P, p[1]) for p, _q in pairs]
-    ts = [(*q[0], *q[1], _ONE, _ZERO) for _p, q in pairs]
+    ts = [(*q[0], *q[1], 1, 0) for _p, q in pairs]
     f = FQ12_ONE
     for bit in _X_BITS:
         f = fq12_sq(f)
@@ -699,7 +697,7 @@ def fq12_cyc_sq(f):
 
 def _cyc_sq_is_consistent():
     # build some cyclotomic element cheaply:  a^((p^6-1)(p^2+1))
-    a = ((XI, FQ2_ONE, (mpz(7), mpz(9))), ((mpz(3), mpz(5)), FQ2_ONE, XI))
+    a = ((XI, FQ2_ONE, (7, 9)), ((3, 5), FQ2_ONE, XI))
     c = fq12_mul(fq12_conj(a), fq12_inv(a))
     c = fq12_mul(fq12_frob2(c), c)
     return fq12_cyc_sq(c) == fq12_sq(c)
@@ -764,8 +762,8 @@ def map_to_curve(msg: bytes):
     for ctr in range(256):
         base = seed + bytes([ctr])
         d = [hashlib.sha256(base + bytes([i])).digest() for i in range(4)]
-        x0 = mpz(int.from_bytes(d[0] + d[1], "big") % P)
-        x1 = mpz(int.from_bytes(d[2] + d[3], "big") % P)
+        x0 = int.from_bytes(d[0] + d[1], "big") % P
+        x1 = int.from_bytes(d[2] + d[3], "big") % P
         x = (x0, x1)
         rhs = fq2_add(fq2_mul(fq2_sq(x), x), B2)
         y = fq2_sqrt(rhs)
@@ -791,7 +789,7 @@ def g1_to_bytes(pt) -> bytes:
     if pt is None:
         return bytes([0xC0]) + bytes(47)
     x, y = pt
-    out = bytearray(int(x).to_bytes(48, "big"))
+    out = bytearray(x.to_bytes(48, "big"))
     out[0] |= 0x80
     if y > _HALF_P:
         out[0] |= 0x20
@@ -802,7 +800,7 @@ def g2_to_bytes(pt) -> bytes:
     if pt is None:
         return bytes([0xC0]) + bytes(95)
     (x0, x1), y = pt
-    out = bytearray(int(x1).to_bytes(48, "big") + int(x0).to_bytes(48, "big"))
+    out = bytearray(x1.to_bytes(48, "big") + x0.to_bytes(48, "big"))
     out[0] |= 0x80
     if fq2_is_larger(y):
         out[0] |= 0x20
@@ -821,7 +819,7 @@ def g1_from_bytes(data: bytes):
         if any(data[1:]) or flags != 0xC0:
             raise ValueError("bad G1 infinity encoding")
         return None
-    x = mpz(int.from_bytes(bytes([flags & 0x1F]) + data[1:], "big"))
+    x = int.from_bytes(bytes([flags & 0x1F]) + data[1:], "big")
     if x >= P:
         raise ValueError("G1 x out of range")
     y = fq_sqrt((x * x % P * x + B1) % P)
@@ -846,8 +844,8 @@ def g2_from_bytes(data: bytes):
         if any(data[1:]) or flags != 0xC0:
             raise ValueError("bad G2 infinity encoding")
         return None
-    x1 = mpz(int.from_bytes(bytes([flags & 0x1F]) + data[1:48], "big"))
-    x0 = mpz(int.from_bytes(data[48:], "big"))
+    x1 = int.from_bytes(bytes([flags & 0x1F]) + data[1:48], "big")
+    x0 = int.from_bytes(data[48:], "big")
     if x0 >= P or x1 >= P:
         raise ValueError("G2 x out of range")
     x = (x0, x1)

@@ -64,7 +64,7 @@ def _closest(contacts, key: bytes, count: int):
 def announce_record_msg(infohash: bytes, pk: bytes, ip: str, port: int) -> bytes:
     return sc.canonical_encode(
         [
-            (sc.TAG_ATOM, b"announce"),
+            (sc.TAG_ATOM, b"announce-record"),
             (sc.TAG_BYTES, infohash),
             (sc.TAG_PUBKEY, pk),
             (sc.TAG_BYTES, ip.encode()),
@@ -191,16 +191,6 @@ class DhtNode:
     def stored_records(self, infohash: bytes, now_epoch: int):
         self.sweep(now_epoch)
         return list(self.store.get(infohash, {}).values())
-
-    # -- peer-local announce exchange ---------------------------------------
-
-    def peer_announce(self, frm, rng: random.Random):
-        """Tracker-style announce handled by a peer against its local view.
-        *frm* is (uid, pk, sig, infohash, event, ip, port); the signature is
-        over the same message the tracker would verify."""
-        return tr.admit_announce(
-            self.local_views, lambda uid: ct.sc_read(self.chain, self.addr_rep, uid),
-            frm, self.min_rep, rng)
 
     def merge_view(self, infohash: bytes, records) -> None:
         for r in records:

@@ -131,10 +131,10 @@ def game_nonrepudiation(cycles: int = 1_000, seed: int = 202) -> GameResult:
         kind = ("per-piece", "batch", "session")[i % 3]
         if kind == "per-piece":
             r = at.attest(r_kp, meta.infohash, s_kp.pk, content, i, now, ep)
-            ok = t.report(tr.build_report(s_uid, s_kp.pk, meta, [(r, r_uid)], ep), now)
+            ok = t.report(tr.build_report(s_uid, s_kp.pk, meta, [(r, r_uid)]), now)
         elif kind == "batch":
             br = at.batch_attest(r_kp, meta.infohash, s_kp.pk, {i: content}, now, ep)
-            ok = t.report_batch(tr.build_batch_report(s_uid, s_kp.pk, meta, [(br, r_uid)]), now)
+            ok = t.report(tr.build_report(s_uid, s_kp.pk, meta, [(br, r_uid)]), now)
         else:
             key = (s_kp.pk, r_kp.pk)
             if key not in sessions:
@@ -210,7 +210,7 @@ def game_reuse(max_delta: int = 3, seed: int = 404) -> GameResult:
             t1 = (delta + 1) * window + 3
             t2 = t1 + offset * window
             r = at.attest(r_kp, meta.infohash, s_kp.pk, content, 0, t1, ep)
-            payload = tr.build_report(b"sender", s_kp.pk, meta, [(r, b"recv")], ep)
+            payload = tr.build_report(b"sender", s_kp.pk, meta, [(r, b"recv")])
             if not t.report(payload, t1):
                 raise AssertionError("honest first submission rejected")
             before = ct.sc_read(chain, t.addr, b"recv").down

@@ -102,7 +102,15 @@ def _json_fraction(value) -> Fraction:
     raise ValueError(f"min_rep must be an integer or a fraction string, not {value!r}")
 
 
+def _json_list(value, what: str) -> list:
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, not {value!r}")
+    return value
+
+
 def scenario_from_json(doc: dict) -> Scenario:
+    if type(doc) is not dict:
+        raise ValueError(f"a scenario must be a JSON object, not {doc!r}")
     unknown = set(doc) - _FIELDS
     if unknown:
         raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
@@ -125,15 +133,15 @@ def scenario_from_json(doc: dict) -> Scenario:
         kwargs["bandwidth"] = float(bw)
     if "tracker_down" in doc:
         kwargs["tracker_down"] = tuple(
-            (at.json_int(a, "tracker_down"), at.json_int(b, "tracker_down"))
-            for a, b in doc["tracker_down"])
+            tuple(at.json_int(t, "tracker_down") for t in _json_list(iv, "an outage"))
+            for iv in _json_list(doc["tracker_down"], "tracker_down"))
     if "migrate_on_recovery" in doc:
         mig = doc["migrate_on_recovery"]
         if type(mig) is not bool:
             raise ValueError(f"migrate_on_recovery must be a bool, not {mig!r}")
         kwargs["migrate_on_recovery"] = mig
     if "adversaries" in doc:
-        kwargs["adversaries"] = tuple(str(a) for a in doc["adversaries"])
+        kwargs["adversaries"] = tuple(_json_list(doc["adversaries"], "adversaries"))
     return Scenario(**kwargs)
 
 

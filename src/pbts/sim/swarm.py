@@ -54,8 +54,7 @@ class PeerState:
     view: set = field(default_factory=set)          # pks learned from announces
     done: bool = False
     # sender side: receipts collected while uploading, awaiting a report
-    pending_receipts: list = field(default_factory=list)   # (Receipt, uid)
-    pending_batches: list = field(default_factory=list)    # (BatchReceipt, uid)
+    pending_receipts: list = field(default_factory=list)   # (long-term receipt, uid)
     pending_sessions: dict = field(default_factory=dict)   # key -> [cert, uid, [sr]]
     # receiver side
     batch_buf: dict = field(default_factory=dict)          # sender_pk -> {idx: content}
@@ -219,10 +218,10 @@ class SwarmSim:
         sender = self.by_pk[sender_pk]
         br = at.batch_attest(leecher.kp, self.meta.infohash, sender_pk, buf, t_s, self.ep)
         self.ops["sign"] += 1
-        if not at.verify_batch(br, self.meta, t_s, self.ep, skew=1):
+        if not at.verify_receipt(br, self.meta, t_s, self.ep, skew=1):
             raise AssertionError("honest batch receipt failed verification")
         self.ops["verify"] += 1
-        sender.pending_batches.append((br, leecher.uid))
+        sender.pending_receipts.append((br, leecher.uid))
         self.counts["receipts"] += 1
         leecher.batch_buf[sender_pk] = {}
 
@@ -304,22 +303,17 @@ class SwarmSim:
     # -- reporting ----------------------------------------------------------
 
     def _has_pending(self, p: PeerState) -> bool:
-        return bool(p.pending_receipts or p.pending_batches or p.pending_sessions)
+        return bool(p.pending_receipts or p.pending_sessions)
 
     def _build_payload(self, p: PeerState):
         if p.pending_receipts:
-            return tr.build_report(p.uid, p.kp.pk, self.meta, p.pending_receipts, self.ep)
-        if p.pending_batches:
-            return tr.build_batch_report(p.uid, p.kp.pk, self.meta, p.pending_batches)
+            return tr.build_report(p.uid, p.kp.pk, self.meta, p.pending_receipts)
         return tr.build_session_report(p.uid, p.kp.pk, self.meta, p.pending_sessions.values())
 
     def _submit(self, payload, t_s: int) -> bool:
         if isinstance(payload, tr.ReportPayload):
             ok = self.tracker.report(payload, t_s)
-            nbytes = 32 * len(payload.receipts) + 96
-        elif isinstance(payload, tr.BatchReportPayload):
-            ok = self.tracker.report_batch(payload, t_s)
-            nbytes = 32 * sum(len(b.piece_hashes) for b in payload.batches) + 96
+            nbytes = 32 * sum(len(r.pieces) for r in payload.receipts) + 96
         else:
             ok = self.tracker.report_session(payload, t_s)
             nbytes = 64 * len(payload.items) + 96 * len(payload.certs)
@@ -333,7 +327,6 @@ class SwarmSim:
 
     def _clear_pending(self, p: PeerState):
         p.pending_receipts = []
-        p.pending_batches = []
         p.pending_sessions = {}
 
     def _flush_peer(self, p: PeerState, t_s: int):
@@ -404,18 +397,12 @@ class SwarmSim:
                     rec["accepted"] += 1
             elif name == "forge":
                 victim = self.peers[-1]
-                h0, j = self.meta.piece_hashes[0], 0
-                epoch = at.epoch_of(t_s, self.ep)
-                msg = at.receipt_msg(self.meta.infohash, adv.kp.pk, h0, j, epoch)
+                h0, epoch = self.meta.piece_hashes[0], at.epoch_of(t_s, self.ep)
+                msg = at.receipt_msg(self.meta.infohash, adv.kp.pk, h0, 0, epoch)
                 forged_sig = sc.sign(adv.kp.sk, msg)  # not the victim's key
-                payload = tr.ReportPayload(
-                    uid=adv.uid, pk=adv.kp.pk,
-                    peers=((victim.kp.pk, victim.uid),), meta=self.meta,
-                    timestamps=(epoch * self.ep.window,),
-                    agg_sig=sc.aggregate([forged_sig]),
-                    delta_up=at.piece_len(self.meta, j), delta_down=0,
-                    receipts=((h0, j),),
-                )
+                forged = at.Receipt(self.meta.infohash, adv.kp.pk, victim.kp.pk, h0, 0, epoch,
+                                    forged_sig)
+                payload = tr.build_report(adv.uid, adv.kp.pk, self.meta, [(forged, victim.uid)])
                 rec["attempts"] += 1
                 if self._submit(payload, t_s):
                     rec["accepted"] += 1

@@ -4,9 +4,13 @@ The tracker runs inside an attested enclave and owns one reputation contract.
 Registration writes a user's key and starting credit on chain; announces gate
 swarm admission on the up/down ratio and hand back peer samples; reports
 carry receipt-backed upload claims that are verified in aggregate, credited
-exactly, and deduplicated over a bounded epoch horizon.  Migration spins up a
-successor instance whose contract names the old one as referrer, so one
-previous generation of records stays readable.
+exactly, and deduplicated over a bounded epoch horizon.  There are two report
+kinds: long-term receipts, where a per-piece receipt is a batch of one, and
+session receipts under a certified key.  Both spend one replay id per piece,
+so a piece credited through either cannot be credited again inside the
+window, and a report overlapping a credited piece is refused whole.
+Migration spins up a successor instance whose contract names the old one as
+referrer, so one previous generation of records stays readable.
 
 All mutating entry points are serial; a rejected call leaves tracker and
 contract state exactly as it found them.  Every check runs before the
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import attestation as at
@@ -77,11 +81,11 @@ def announce_msg(uid: bytes, tid: bytes, event: str) -> bytes:
 
 
 def admit_announce(views: dict, read, frm, min_rep, rng: random.Random):
-    """The one announce-admission rule, for the tracker and for peers serving
-    announces from their local view.  *frm* is (uid, pk, sig, tid, event, ip,
-    port); *read(uid)* returns uid's reputation record, or None when there is
-    none to be had.  Updates ``views[tid]`` and returns a sample of at most
-    ``DEFAULT_SAMPLE_CAP`` peers, or [] when the announce is refused."""
+    """The tracker's announce-admission rule.  *frm* is (uid, pk, sig, tid,
+    event, ip, port); *read(uid)* returns uid's reputation record, or None
+    when there is none to be had.  Updates ``views[tid]`` and returns a sample
+    of at most ``DEFAULT_SAMPLE_CAP`` peers, or [] when the announce is
+    refused."""
     uid, pk, sig, tid, event, ip, port = frm
     if event not in EVENTS:
         return []
@@ -112,11 +116,10 @@ class ReportPayload:
     pk: bytes
     peers: tuple          # (pk_j, uid_j) per receipt
     meta: at.TorrentMeta
-    timestamps: tuple     # t_j per receipt, seconds
+    receipts: tuple       # Receipt or BatchReceipt, each without its signature
     agg_sig: sc.AggregateSignature
     delta_up: int
     delta_down: int
-    receipts: tuple       # (h_j, j) per receipt
 
 
 @dataclass(frozen=True)
@@ -132,44 +135,36 @@ class SessionReportPayload:
     delta_down: int
 
 
-@dataclass(frozen=True)
-class BatchReportPayload:
-    uid: bytes
-    pk: bytes
-    peers: tuple          # (pk_j, uid_j) per batch receipt
-    meta: at.TorrentMeta
-    batches: tuple        # BatchReceipt per entry
-    agg_sig: sc.AggregateSignature
-    delta_up: int
-    delta_down: int
-
-
 def build_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, entries,
-                 params: at.EpochParams, delta_down: int = 0) -> ReportPayload:
-    """Assemble a report from (receipt, downloader uid) pairs the reporter
-    collected while seeding.  The aggregate signature replaces the individual
-    receipt signatures on the wire."""
-    peers, stamps, items, sigs = [], [], [], []
+                 _params=None, delta_down: int = 0) -> ReportPayload:
+    """Assemble a report from (long-term receipt, downloader uid) pairs the
+    reporter collected while seeding; a receipt may cover one piece or many.
+    The aggregate signature replaces the individual receipt signatures on the
+    wire.  *_params* is unused; callers may pass the epoch parameters there."""
+    peers, receipts, sigs = [], [], []
     total = 0
-    for receipt, peer_uid in entries:
-        if receipt.sender_pk != pk or receipt.infohash != meta.infohash:
+    for r, peer_uid in entries:
+        if r.sender_pk != pk or r.infohash != meta.infohash:
             raise ValueError("receipt does not belong to this reporter/torrent")
-        peers.append((receipt.receiver_pk, peer_uid))
-        stamps.append(receipt.epoch * params.window)
-        items.append((receipt.piece_hash, receipt.index))
-        sigs.append(receipt.sig)
-        total += at.piece_len(meta, receipt.index)
+        peers.append((r.receiver_pk, peer_uid))
+        receipts.append(replace(r, sig=b""))
+        sigs.append(r.sig)
+        total += sum(at.piece_len(meta, j) for j, _ in r.pieces)
     return ReportPayload(
         uid=uid,
         pk=pk,
         peers=tuple(peers),
         meta=meta,
-        timestamps=tuple(stamps),
+        receipts=tuple(receipts),
         agg_sig=sc.aggregate(sigs),
         delta_up=total,
         delta_down=delta_down,
-        receipts=tuple(items),
     )
+
+
+def build_batch_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, entries,
+                       delta_down: int = 0) -> ReportPayload:
+    return build_report(uid, pk, meta, entries, None, delta_down)
 
 
 def build_session_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, sessions,
@@ -193,30 +188,6 @@ def build_session_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, sessions,
         certs=tuple(certs),
         agg_sig=sc.aggregate(c.sig for c in certs),
         items=tuple(items),
-        delta_up=total,
-        delta_down=delta_down,
-    )
-
-
-def build_batch_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, entries,
-                       delta_down: int = 0) -> BatchReportPayload:
-    """*entries* is a list of (BatchReceipt, downloader uid) pairs."""
-    peers, batches, sigs = [], [], []
-    total = 0
-    for br, peer_uid in entries:
-        if br.sender_pk != pk or br.infohash != meta.infohash:
-            raise ValueError("batch receipt does not belong to this reporter/torrent")
-        peers.append((br.receiver_pk, peer_uid))
-        batches.append(br)
-        sigs.append(br.sig)
-        total += sum(at.piece_len(meta, j) for j in br.indices)
-    return BatchReportPayload(
-        uid=uid,
-        pk=pk,
-        peers=tuple(peers),
-        meta=meta,
-        batches=tuple(batches),
-        agg_sig=sc.aggregate(sigs),
         delta_up=total,
         delta_down=delta_down,
     )
@@ -307,13 +278,12 @@ class Tracker:
     # -- reports -------------------------------------------------------------
 
     def report(self, payload: ReportPayload, now: int) -> bool:
-        return self._admit(payload, now, self._per_piece_claims)
+        return self._admit(payload, now, self._receipt_claims)
+
+    report_batch = report
 
     def report_session(self, payload: SessionReportPayload, now: int) -> bool:
         return self._admit(payload, now, self._session_claims)
-
-    def report_batch(self, payload: BatchReportPayload, now: int) -> bool:
-        return self._admit(payload, now, self._batch_claims)
 
     def _resolve(self, pk: bytes, uid: bytes):
         """uid's record on chain if it holds *pk*, else None: the identity
@@ -329,10 +299,13 @@ class Tracker:
 
         A kind's *expand(p, meta, now)* says only what differs: None when a
         binding of its own fails, else (claims, pairs, item_sigs).  Claims
-        are (downloader pk, uid, epoch, replay id, bytes) in payload order;
-        one with replay id None credits nothing but is checked all the same.
-        The aggregate must cover *pairs*; item_sigs yields the outcome of
-        each signature the aggregate does not cover."""
+        are (downloader pk, uid, epoch, pieces) in payload order, pieces
+        being ((index, piece hash), ...) already matched against the
+        torrent; one with no pieces credits nothing but is checked all the
+        same.  Each piece has one replay id whatever kind carries it, and a
+        report naming an id already spent is refused whole.  The aggregate
+        must cover *pairs*; item_sigs yields the outcome of each signature
+        the aggregate does not cover."""
         meta = self.torrents.get(p.meta.infohash)
         reporter = self._resolve(p.pk, p.uid)
         if meta is None or p.delta_down < 0 or reporter is None:
@@ -343,7 +316,7 @@ class Tracker:
         claims, pairs, item_sigs = expanded
         now_epoch = at.epoch_of(now, self.epoch)
         resolved, rids, credits = {}, [], {}  # credits: uid -> bytes, first seen first
-        for pk_j, uid_j, e_j, rid, size in claims:
+        for pk_j, uid_j, e_j, pieces in claims:
             if pk_j == p.pk:
                 return False  # no credit for transfers to oneself
             if not at.epoch_within_skew(e_j, now_epoch, self.epoch):
@@ -352,9 +325,9 @@ class Tracker:
                 resolved[pk_j, uid_j] = self._resolve(pk_j, uid_j)
                 if resolved[pk_j, uid_j] is None:
                     return False
-            if rid is not None:
-                rids.append(rid)
-                credits[uid_j] = credits.get(uid_j, 0) + size
+            if pieces:
+                rids += at.piece_ids(meta.infohash, p.pk, pk_j, pieces, e_j)
+                credits[uid_j] = credits.get(uid_j, 0) + sum(at.piece_len(meta, j) for j, _ in pieces)
         if not rids or len(set(rids)) != len(rids) or any(r in self.recent for r in rids):
             return False
         if p.delta_up != sum(credits.values()):
@@ -370,33 +343,18 @@ class Tracker:
         self.recent.update(dict.fromkeys(rids, now_epoch))
         return True
 
-    def _per_piece_claims(self, p: ReportPayload, meta: at.TorrentMeta, now: int):
-        if not len(p.peers) == len(p.timestamps) == len(p.receipts):
+    def _receipt_claims(self, p: ReportPayload, meta: at.TorrentMeta, now: int):
+        """One claim per long-term receipt, of either shape."""
+        if len(p.peers) != len(p.receipts):
             return None
         claims, pairs = [], []
-        for (pk_j, uid_j), t_j, (h_j, j) in zip(p.peers, p.timestamps, p.receipts):
-            if t_j < 0 or not at.piece_matches(meta, j, h_j):
+        for r, (pk_j, uid_j) in zip(p.receipts, p.peers):
+            if r.sender_pk != p.pk or r.receiver_pk != pk_j:
                 return None
-            e_j = at.epoch_of(t_j, self.epoch)
-            if not sc.fits_uint(e_j):
-                return None  # the receipt message cannot encode it
-            rid = at.receipt_key(meta.infohash, p.pk, pk_j, h_j, j, e_j)
-            claims.append((pk_j, uid_j, e_j, rid, at.piece_len(meta, j)))
-            pairs.append((pk_j, at.receipt_msg(meta.infohash, p.pk, h_j, j, e_j)))
-        return claims, pairs, ()
-
-    def _batch_claims(self, p: BatchReportPayload, meta: at.TorrentMeta, now: int):
-        if len(p.peers) != len(p.batches):
-            return None
-        claims, pairs = [], []
-        for br, (pk_j, uid_j) in zip(p.batches, p.peers):
-            if br.sender_pk != p.pk or br.receiver_pk != pk_j:
-                return None
-            msg = at.batch_msg(br, meta)
+            msg = at.signed_msg(r, meta)
             if msg is None:
                 return None
-            size = sum(at.piece_len(meta, j) for j in br.indices)
-            claims.append((pk_j, uid_j, br.epoch, at.batch_id(br), size))
+            claims.append((pk_j, uid_j, r.epoch, r.pieces))
             pairs.append((pk_j, msg))
         return claims, pairs, ()
 
@@ -412,17 +370,14 @@ class Tracker:
                 return None
             if cert.receiver_pk != pk_j or not sc.fits_uint(cert.epoch):
                 return None
-        msgs = [at.cert_msg(c) for c in p.certs]
-        sids = [sc.hash_data(m) for m in msgs]
         claims = []
         for ci, sr in p.items:
             if not 0 <= ci < len(p.certs) or not at.piece_matches(meta, sr.index, sr.piece_hash):
                 return None
             pk_j, uid_j = p.peers[ci]
-            rid = ("session", sids[ci], sr.index, sr.epoch)
-            claims.append((pk_j, uid_j, sr.epoch, rid, at.piece_len(meta, sr.index)))
-        claims += [(pk_j, uid_j, c.epoch, None, 0) for c, (pk_j, uid_j) in zip(p.certs, p.peers)]
-        pairs = [(c.receiver_pk, m) for c, m in zip(p.certs, msgs)]
+            claims.append((pk_j, uid_j, sr.epoch, ((sr.index, sr.piece_hash),)))
+        claims += [(pk_j, uid_j, c.epoch, ()) for c, (pk_j, uid_j) in zip(p.certs, p.peers)]
+        pairs = [(c.receiver_pk, at.cert_msg(c)) for c in p.certs]
         item_sigs = (at.verify_session_receipt(p.certs[ci], sr, meta, now, self.epoch)
                      for ci, sr in p.items)
         return claims, pairs, item_sigs

@@ -9,27 +9,12 @@ Jacobian triples (X, Y, Z) stand for (X/Z^2, Y/Z^3); Z = 0 is infinity.
 Scalar multiplication runs width-5 wNAF over a point's odd-multiple table,
 or 4-bit windows over a fixed-base table for a generator; both tables are
 affine so that every addition is a mixed one.
-
-This module also holds the package's one ``gmpy2`` shim: ``mpz``,
-``powmod`` and ``inv`` are gmpy2's when it is installed and plain-int
-fallbacks otherwise.  The tests and the benchmark run the plain-int path.
+Field elements are plain ints.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpz, powmod, invert as inv
-except ImportError:  # the plain-int path
-    mpz = int
-    powmod = pow
-
-    def inv(a, m):  # type: ignore[misc]
-        return pow(a, -1, m)
-
-
-ZERO = mpz(0)
-ONE = mpz(1)
-INF = (ONE, ONE, ZERO)
+INF = (1, 1, 0)
 
 
 def jdbl(pt, p):
@@ -83,7 +68,7 @@ def madd(acc, apt, p):
     x2, y2 = apt
     x1, y1, z1 = acc
     if z1 == 0:
-        return (x2, y2, ONE)
+        return (x2, y2, 1)
     z1z1 = z1 * z1 % p
     u2 = x2 * z1z1 % p
     s2 = y2 * z1z1 % p * z1 % p
@@ -107,7 +92,7 @@ def to_affine(pt, p):
     x, y, z = pt
     if z == 0:
         return None
-    zi = inv(z, p)
+    zi = pow(z, -1, p)
     zi2 = zi * zi % p
     return (x * zi2 % p, y * zi2 % p * zi % p)
 
@@ -115,12 +100,12 @@ def to_affine(pt, p):
 def batch_to_affine(jpts, p):
     """``to_affine`` of every point, with one inversion (Montgomery's trick)."""
     prefix = []
-    acc = ONE
+    acc = 1
     for _x, _y, z in jpts:
         prefix.append(acc)
         if z:
             acc = acc * z % p
-    zinv = inv(acc, p)
+    zinv = pow(acc, -1, p)
     out = [None] * len(jpts)
     for i in range(len(jpts) - 1, -1, -1):
         x, y, z = jpts[i]
@@ -153,7 +138,7 @@ def odd_multiples(pt, p):
     """The wNAF table of affine pt: P, 3P, ..., 15P, then -15P, ..., -P, so
     that entry d >> 1 is dP for every digit d.  Small-order points are fine:
     a multiple at infinity is None."""
-    base = (pt[0], pt[1], ONE)
+    base = (pt[0], pt[1], 1)
     dbl = jdbl(base, p)
     rows = [base]
     for _ in range(7):
@@ -175,7 +160,7 @@ def mul(table, k, p):
 def gen_table(g, p):
     """Fixed-base table of affine g: row i holds d * 16^i * g for d = 1..15,
     64 rows, so ``mul_gen`` covers scalars below 2^256."""
-    base = (g[0], g[1], ONE)
+    base = (g[0], g[1], 1)
     flat = []
     for _ in range(64):
         row = [base]

@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbts import attestation as at
+from pbts import contract as ct
+from pbts import dht
+from pbts import enclave as encl
 from pbts import sigcrypto as sc
+from pbts import tracker as tr
 
 EP = at.EpochParams()  # window 3600, delta 2
 
@@ -154,24 +158,54 @@ class TestReceipts:
         other, _ = make_meta(name="other")
         assert not at.verify_receipt(r, other, self.now, EP)
 
-    def test_receipt_key_distinguishes(self):
-        def key(r):
-            return at.receipt_key(r.infohash, r.sender_pk, r.receiver_pk,
-                                  r.piece_hash, r.index, r.epoch)
+    def test_piece_ids_distinguish(self):
+        def ids(r):
+            return at.piece_ids(r.infohash, r.sender_pk, r.receiver_pk, r.pieces, r.epoch)
 
         a = self.attest(i=0)
         b = self.attest(i=1)
-        assert key(a) != key(b)
-        assert key(a) == key(self.attest(i=0))
+        assert ids(a) != ids(b)
+        assert ids(a) == ids(self.attest(i=0))
+        assert ids(a) == [(a.infohash, a.sender_pk, a.receiver_pk, 0, a.piece_hash, a.epoch)]
 
-    def test_message_domain_separated_from_atom_framing(self):
-        # the receipt message opens with a BYTES field; every other signed
-        # message in the protocol opens with an ATOM tag, so neither can be
-        # replayed as the other
-        msg = at.receipt_msg(self.meta.infohash, self.send.pk, self.meta.piece_hashes[0], 0, 10)
+    def test_per_piece_message_is_the_one_leaf_batch_message(self):
+        h = self.meta.piece_hashes[2]
+        msg = at.receipt_msg(self.meta.infohash, self.send.pk, h, 2, 10)
+        assert msg == at.pieces_msg(self.meta.infohash, self.send.pk, ((2, h),), 10)
         fields = sc.canonical_decode(msg)
-        assert fields[0][0] == sc.TAG_BYTES
-        assert len(fields) == 5
+        assert fields[0] == (sc.TAG_ATOM, b"batch-receipt")
+        assert fields[3] == (sc.TAG_DIGEST, at._merkle_leaf(2, h))
+
+    def test_one_piece_attest_and_batch_attest_sign_alike(self):
+        r = self.attest(i=3)
+        br = at.batch_attest(self.recv, self.meta.infohash, self.send.pk,
+                             {3: self.contents[3]}, self.now, EP)
+        assert at.signed_msg(r, self.meta) == at.signed_msg(br, self.meta) is not None
+        assert r.sig == br.sig
+        assert r.pieces == br.pieces == ((3, self.meta.piece_hashes[3]),)
+        assert at.piece_ids(r.infohash, r.sender_pk, r.receiver_pk, r.pieces, r.epoch) == \
+            at.piece_ids(br.infohash, br.sender_pk, br.receiver_pk, br.pieces, br.epoch)
+
+    def test_signed_message_atoms_are_distinct(self):
+        """Every signed message opens with its own atom, so none can be
+        replayed as another."""
+        ih, pk, h = self.meta.infohash, self.send.pk, self.meta.piece_hashes[0]
+        cert, skp = at.open_session(self.recv, ih, pk, self.now, EP)
+        sr = at.session_attest(skp.sk, cert, self.contents[0], 0, self.now, EP)
+        msgs = [
+            at.receipt_msg(ih, pk, h, 0, 10),
+            at.cert_msg(cert),
+            at._session_receipt_msg(ih, pk, sr.piece_hash, 0, sr.epoch),
+            tr.register_msg(b"iid", b"uid"),
+            tr.announce_msg(b"uid", ih, "started"),
+            dht.announce_record_msg(ih, pk, "10.0.0.1", 6881),
+            ct._init_payload(b"iid", None, pk),
+            ct._write_payload(b"addr", [(b"uid", pk, 1, 2)]),
+            encl._quote_msg(h, b"nonce"),
+        ]
+        heads = [sc.canonical_decode(m)[0] for m in msgs]
+        assert all(tag == sc.TAG_ATOM for tag, _ in heads)
+        assert len({atom for _, atom in heads}) == len(msgs)
 
 
 class TestAdaptiveCoverage:
@@ -249,6 +283,13 @@ class TestMerkle:
             at.merkle_root([])
 
 
+# a batch signature recorded before per-piece receipts became batches of one;
+# the batch message did not change
+GOLDEN_BATCH_SIG = (
+    "809667c8096d79b73074261b60f5a2281bfb22ea2bd67f442e8d37d321180e176d8262fa77a7532569cef3598edf766708"
+    "b60a37b6cbb5365b0d2f5862362d099ce446b6e47186517f74cc43e644f4961413a01a8dca6cad3ccdadb029c8468a")
+
+
 class TestBatchReceipts:
     def setup_method(self):
         self.recv = sc.keygen(b"\x23" * 32)
@@ -260,8 +301,8 @@ class TestBatchReceipts:
         pieces = {i: self.contents[i] for i in (1, 4, 7)}
         br = at.batch_attest(self.recv, self.meta.infohash, self.send.pk, pieces, self.now, EP)
         assert br.indices == (1, 4, 7)
-        assert at.verify_batch(br, self.meta, self.now, EP)
-        assert at.verify_batch(br, None, self.now, EP)
+        assert at.verify_receipt(br, self.meta, self.now, EP)
+        assert at.verify_receipt(br, None, self.now, EP)
 
     def test_tamper_rejected(self):
         pieces = {i: self.contents[i] for i in range(4)}
@@ -276,14 +317,21 @@ class TestBatchReceipts:
             dataclasses.replace(br, sender_pk=self.recv.pk),
         ]
         for bad in cases:
-            assert not at.verify_batch(bad, self.meta, self.now, EP, skew=1)
+            assert not at.verify_receipt(bad, self.meta, self.now, EP, skew=1)
 
     def test_subset_claim_fails(self):
         # dropping one piece changes the root, so partial claims don't verify
         pieces = {i: self.contents[i] for i in range(4)}
         br = at.batch_attest(self.recv, self.meta.infohash, self.send.pk, pieces, self.now, EP)
         sub = dataclasses.replace(br, indices=br.indices[:3], piece_hashes=br.piece_hashes[:3])
-        assert not at.verify_batch(sub, self.meta, self.now, EP)
+        assert not at.verify_receipt(sub, self.meta, self.now, EP)
+
+    def test_recorded_batch_signature_still_verifies(self):
+        pieces = {i: self.contents[i] for i in (1, 4, 7)}
+        br = at.batch_attest(self.recv, self.meta.infohash, self.send.pk, pieces, self.now, EP)
+        assert br.sig.hex() == GOLDEN_BATCH_SIG
+        assert at.verify_receipt(dataclasses.replace(br, sig=bytes.fromhex(GOLDEN_BATCH_SIG)),
+                                 self.meta, self.now, EP)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

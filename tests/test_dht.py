@@ -366,41 +366,3 @@ class TestJoin:
         with pytest.raises(dht.JoinError):
             dht.bootstrap(env.net, node, [(env.nodes[0].ip, env.nodes[0].port)])
 
-
-class TestPeerAnnounce:
-    def _frm(self, env, i, event, ih=IH):
-        n = env.nodes[i]
-        sig = sc.sign(n.kp.sk, tr.announce_msg(n.uid, ih, event))
-        return (n.uid, n.kp.pk, sig, ih, event, n.ip, n.port)
-
-    def test_join_sees_prior_members(self):
-        env = Net(5, seed=61)
-        host, rng = env.nodes[0], random.Random(0)
-        assert host.peer_announce(self._frm(env, 1, "started"), rng) == []
-        got = host.peer_announce(self._frm(env, 2, "started"), rng)
-        assert got == [(env.nodes[1].kp.pk, env.nodes[1].ip, env.nodes[1].port)]
-
-    def test_stopped_removes(self):
-        env = Net(4, seed=62)
-        host, rng = env.nodes[0], random.Random(0)
-        host.peer_announce(self._frm(env, 1, "started"), rng)
-        host.peer_announce(self._frm(env, 1, "stopped"), rng)
-        assert env.nodes[1].kp.pk not in host.local_views[IH]
-
-    def test_low_rep_blocks_started_but_not_completed(self):
-        env = Net(4, seed=63)
-        host, rng = env.nodes[0], random.Random(0)
-        env.slash(1)
-        assert host.peer_announce(self._frm(env, 1, "started"), rng) == []
-        assert IH not in host.local_views
-        host.peer_announce(self._frm(env, 1, "completed"), rng)
-        assert env.nodes[1].kp.pk in host.local_views[IH]
-
-    def test_bad_signature_and_unknown_event_ignored(self):
-        env = Net(4, seed=64)
-        host, rng = env.nodes[0], random.Random(0)
-        uid, pk, sig, ih, _, ip, port = self._frm(env, 1, "started")
-        host.peer_announce((uid, pk, sig, ih, "paused", ip, port), rng)
-        wrong = sc.sign(env.nodes[2].kp.sk, tr.announce_msg(uid, ih, "started"))
-        host.peer_announce((uid, pk, wrong, ih, "started", ip, port), rng)
-        assert host.local_views.get(IH, {}) == {}

@@ -429,7 +429,7 @@ class TestPairing:
 # subgroup, and every pairing with it is 1: added to an honest key it gives a
 # second encoding that verifies the same signatures, unless decoding checks
 # the subgroup.
-TORSION = (bls.mpz(0), bls.mpz(2))
+TORSION = (0, 2)
 
 
 class TestG1Subgroup:
@@ -438,7 +438,7 @@ class TestG1Subgroup:
 
     def outside_keys(self):
         x, y = bls.g1_from_bytes(self.KP.pk)
-        shifted = wei.to_affine(wei.madd((x, y, wei.ONE), TORSION, bls.P), bls.P)
+        shifted = wei.to_affine(wei.madd((x, y, 1), TORSION, bls.P), bls.P)
         return [bls.g1_to_bytes(TORSION), bls.g1_to_bytes(shifted)]
 
     def test_torsion_point_is_invisible_to_the_pairing(self):
@@ -675,9 +675,9 @@ class TestOneVerificationPath:
         assert bls.g2_add() is None
 
 
-def test_multi_pairing_is_one_has_one_caller():
-    """Every signature check of the package is ``aggregate_verify``: a second
-    reference to the pairing check would be a second verification path."""
+def reference_sites(name):
+    """(file, enclosing function) of every name, attribute or import of
+    *name* in the package."""
     pkg = Path(bls.__file__).parent
     sites = []
     for path in sorted(pkg.rglob("*.py")):
@@ -685,12 +685,25 @@ def test_multi_pairing_is_one_has_one_caller():
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
             field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
-            if field and getattr(node, field) == "multi_pairing_is_one":
+            if field and getattr(node, field) == name:
                 scope = parents[node]
                 while not isinstance(scope, (ast.FunctionDef, ast.Module)):
                     scope = parents[scope]
                 sites.append((path.relative_to(pkg).as_posix(), getattr(scope, "name", None)))
-    assert sites == [("sigcrypto.py", "aggregate_verify")]
+    return sites
+
+
+def test_multi_pairing_is_one_has_one_caller():
+    """Every signature check of the package is ``aggregate_verify``: a second
+    reference to the pairing check would be a second verification path."""
+    assert reference_sites("multi_pairing_is_one") == [("sigcrypto.py", "aggregate_verify")]
+
+
+def test_merkle_root_has_one_caller():
+    """Every long-term receipt, of one piece or many, signs the message
+    ``pieces_msg`` builds: a second reference to the Merkle root would be a
+    second receipt message."""
+    assert reference_sites("merkle_root") == [("attestation.py", "pieces_msg")]
 
 
 class TestSessionScheme:

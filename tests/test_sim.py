@@ -189,6 +189,15 @@ class TestScenarioJson:
         {"min_rep": [1, 4]},
         {"name": 5},
         {"name": None},
+        {"tracker_down": 5},
+        {"tracker_down": [5]},
+        {"tracker_down": [[10, 20, 30]]},
+        {"adversaries": 5},
+        {"adversaries": "inflate"},
+        {"adversaries": [5]},
+        {"policy": 3},
+        {"policy": {"k": 2}},
+        [],
     ])
     def test_wrong_json_type_refused(self, doc):
         with pytest.raises(ValueError):

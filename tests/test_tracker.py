@@ -212,8 +212,8 @@ class TestReport:
         r_other = dataclasses.replace(r1, infohash=other_meta.infohash)
         foreign = tr.ReportPayload(  # torrent the tracker never indexed
             uid=b"u0", pk=env.users[0][1].pk, peers=((env.users[1][1].pk, b"u1"),),
-            meta=other_meta, timestamps=(NOW,), agg_sig=sc.aggregate([r_other.sig]),
-            delta_up=700, delta_down=0, receipts=((other_meta.piece_hashes[0], 0),))
+            meta=other_meta, receipts=(r_other,), agg_sig=sc.aggregate([r_other.sig]),
+            delta_up=700, delta_down=0)
         assert not env.t.report(foreign, NOW)
 
         stale = env.report_for(0, [(env.receipt(1, 0, 4, t=NOW - 3 * W), b"u1")])
@@ -223,9 +223,8 @@ class TestReport:
 
     def test_empty_report_rejected(self, env):
         payload = tr.ReportPayload(
-            uid=b"u0", pk=env.users[0][1].pk, peers=(), meta=env.meta,
-            timestamps=(), agg_sig=sc.AggregateSignature(b"\x00" * 96, 0),
-            delta_up=0, delta_down=0, receipts=())
+            uid=b"u0", pk=env.users[0][1].pk, peers=(), meta=env.meta, receipts=(),
+            agg_sig=sc.AggregateSignature(b"\x00" * 96, 0), delta_up=0, delta_down=0)
         assert not env.t.report(payload, NOW)
 
     def test_self_receipt_rejected(self, env):
@@ -244,7 +243,7 @@ class TestReport:
     def test_expired_receipt_rejected_even_after_gc(self, env):
         r = env.receipt(1, 0, 6)
         assert env.t.report(env.report_for(0, [(r, b"u1")]), NOW)
-        rid = at.receipt_key(r.infohash, r.sender_pk, r.receiver_pk, r.piece_hash, r.index, r.epoch)
+        [rid] = at.piece_ids(r.infohash, r.sender_pk, r.receiver_pk, r.pieces, r.epoch)
         assert rid in env.t.recent
         later = NOW + (env.t.epoch.delta + 2) * W
         env.t.gc_recent(later)
@@ -315,7 +314,7 @@ class TestBatchReport:
         payload = tr.build_batch_report(uid0, kp0.pk, env.meta, [(br, uid1)])
         assert env.t.report_batch(payload, NOW)
         assert ct.sc_read(env.chain, env.t.addr, uid1).down == 4 * 700
-        assert not env.t.report_batch(payload, NOW)  # dedup by batch identity
+        assert not env.t.report_batch(payload, NOW)  # dedup by piece
 
     def test_wrong_piece_hash_rejected(self, env):
         uid1, kp1 = env.users[1]
@@ -444,17 +443,25 @@ def _with(**change):
 
 def _epoch(epoch):
     """The honest report with the middle transfer claiming *epoch*, which no
-    signed message can encode; a per-piece report carries it as a timestamp."""
+    signed message can encode; its first piece is the per-piece report's
+    third receipt."""
     def case(env, kind):
         p = make_report(env, kind)
-        if kind == "report":
-            stamps = list(p.timestamps)
-            stamps[2] = epoch * W
-            return dataclasses.replace(p, timestamps=tuple(stamps))
-        field = "batches" if kind == "report_batch" else "certs"
+        field = "certs" if kind == "report_session" else "receipts"
+        i = 2 if kind == "report" else 1
         items = list(getattr(p, field))
-        items[1] = dataclasses.replace(items[1], epoch=epoch)
+        items[i] = dataclasses.replace(items[i], epoch=epoch)
         return dataclasses.replace(p, **{field: tuple(items)})
+    return case
+
+
+def _credited_through(shift):
+    """The honest report after piece 3 of the middle transfer was credited
+    through another kind, the one *shift* places after it in ``KINDS``."""
+    def case(env, kind):
+        other = KINDS[(KINDS.index(kind) + shift) % len(KINDS)]
+        assert getattr(env.t, other)(make_report(env, other, (tx(2, (3,)),)), NOW)
+        return make_report(env, kind)
     return case
 
 
@@ -478,6 +485,8 @@ REFUSALS = {
         env, kind, (HONEST[0], tx(2, (3, 6), garbled=True), HONEST[2])),
     "epoch_negative": _epoch(-1),
     "epoch_not_encodable": _epoch(1 << 64),
+    "piece_credited_through_next_kind": _credited_through(1),
+    "piece_credited_through_previous_kind": _credited_through(2),
 }
 
 
@@ -546,8 +555,9 @@ def test_chain_log_cut_at_any_entry_replays_to_a_whole_request(tmp_path):
     for _ in range(4):
         env.join()
         whole.add(ct.state_digest(env.chain))
-    for kind in KINDS:  # each credits three downloaders
-        assert getattr(env.t, kind)(make_report(env, kind), NOW)
+    for k, kind in enumerate(KINDS):  # each credits three downloaders, in its own epoch
+        transfers = [tx(recv_i, pieces, t=NOW - k * W) for recv_i, pieces, *_ in HONEST]
+        assert getattr(env.t, kind)(make_report(env, kind, transfers), NOW)
         whole.add(ct.state_digest(env.chain))
     env.chain.close()
     lines = path.read_bytes().splitlines(keepends=True)
@@ -558,6 +568,27 @@ def test_chain_log_cut_at_any_entry_replays_to_a_whole_request(tmp_path):
         assert ct.state_digest(chain) in whole, cut
         chain.close()
     assert len(lines) == 1 + 4 + len(KINDS)
+
+
+def test_piece_credited_once_whatever_kind_carries_it(env):
+    """u1 signs for piece 3 four times in one epoch: per piece, in a batch over
+    {3, 4}, in a batch over {3} and in a session.  Only the first is credited."""
+    (uid0, kp0), (uid1, kp1) = env.users[0], env.users[1]
+    ih, ep = env.meta.infohash, env.t.epoch
+    per_piece = env.report_for(0, [(env.receipt(1, 0, 3), uid1)])
+    batches = [tr.build_batch_report(uid0, kp0.pk, env.meta, [(
+        at.batch_attest(kp1, ih, kp0.pk, {j: env.contents[j] for j in js}, NOW, ep), uid1)])
+        for js in ((3, 4), (3,))]
+    cert, skp = at.open_session(kp1, ih, kp0.pk, NOW, ep)
+    session = tr.build_session_report(
+        uid0, kp0.pk, env.meta,
+        [(cert, uid1, [at.session_attest(skp.sk, cert, env.contents[3], 3, NOW, ep)])])
+    assert env.t.report(per_piece, NOW)
+    assert not env.t.report_batch(batches[0], NOW)
+    assert not env.t.report_batch(batches[1], NOW)
+    assert not env.t.report_session(session, NOW)
+    assert ct.sc_read(env.chain, env.t.addr, uid1).down == 700
+    assert ct.sc_read(env.chain, env.t.addr, uid0).up == 4096 + 700
 
 
 # ---------------------------------------------------------------------------
