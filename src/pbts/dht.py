@@ -5,7 +5,9 @@ identities are bound to on-chain registrations.  Storage nodes accept an
 announce record only after checking the reputation contract: the key must be
 registered, match the record, and clear the admission threshold — the
 contract acts as the PKI.  Requesters re-verify every record they retrieve,
-so a tampered store can never propagate into a peer's local view.
+so a tampered store can never propagate into a peer's local view.  A node
+signs its record once per torrent and address and re-offers it: it binds no
+epoch and BLS signing is deterministic, so re-signing gives the same bytes.
 
 Everything runs over the simulator's in-process message bus: configurable
 drop probability, an explicit dead set, and per-call counters.  No sockets.
@@ -111,8 +113,8 @@ class DhtNode:
     def __post_init__(self):
         self.nid = node_id(self.kp.pk)
         self.buckets = [[] for _ in range(ID_BITS)]  # entries: (nid, ip, port)
-        self.store = {}        # infohash -> {pk: AnnounceRecord}
-        self.local_views = {}  # infohash -> {pk: (ip, port)}
+        self.store = {}   # infohash -> {pk: AnnounceRecord}
+        self.signed = {}  # infohash -> the last record this node signed for it
 
     # -- routing table -------------------------------------------------------
 
@@ -142,11 +144,19 @@ class DhtNode:
         if bucket is not None:
             bucket[:] = [c for c in bucket if c[0] != nid]
 
-    def contacts(self):
-        return itertools.chain.from_iterable(self.buckets)
-
     def closest_contacts(self, key: bytes, count: int):
-        return _closest(self.contacts(), key, count)
+        """The *count* contacts nearest to *key*, nearest first.  With j the top
+        bit of (own id ^ key), distances from *key* are below 2**j in bucket j, top
+        bit j in buckets 0..j-1 (ranked together), top bit i in bucket i > j: that
+        order (for the own id: 0, 1, 2, ...) is the full ranking, as ids never tie."""
+        target = int.from_bytes(key, "big")
+        j, b = (_id_int(self.nid) ^ target).bit_length() - 1, self.buckets
+        groups = b if j < 0 else [b[j], itertools.chain.from_iterable(b[:j]), *b[j + 1:]]
+        out = []
+        for group in filter(None, groups):
+            if len(out) < count:
+                out += sorted(group, key=lambda c: _id_int(c[0]) ^ target)[:count - len(out)]
+        return out
 
     # -- storage -------------------------------------------------------------
 
@@ -192,10 +202,6 @@ class DhtNode:
         self.sweep(now_epoch)
         return list(self.store.get(infohash, {}).values())
 
-    def merge_view(self, infohash: bytes, records) -> None:
-        for r in records:
-            self.local_views.setdefault(infohash, {})[r.pk] = (r.ip, r.port)
-
 
 # ---------------------------------------------------------------------------
 
@@ -219,41 +225,33 @@ class DhtNet:
         self.nodes[node.nid] = node
         self.by_addr[(node.ip, node.port)] = node.nid
 
-    def contact_of(self, nid: bytes):
-        n = self.nodes[nid]
-        return (n.nid, n.ip, n.port)
-
-    def _deliver(self, dst_nid: bytes) -> bool:
+    def _deliver(self, src: DhtNode, dst_nid: bytes):
+        """The destination, having observed *src*, or None if the RPC is lost."""
         self.rpc_count += 1
         if dst_nid in self.dead or dst_nid not in self.nodes:
-            return False
+            return None
         if self.drop_rate and self.rng.random() < self.drop_rate:
-            return False
-        return True
+            return None
+        dst = self.nodes[dst_nid]
+        dst.observe((src.nid, src.ip, src.port))
+        return dst
 
     def rpc_find_node(self, src: DhtNode, dst_nid: bytes, key: bytes):
-        if not self._deliver(dst_nid):
-            return None
-        dst = self.nodes[dst_nid]
-        dst.observe((src.nid, src.ip, src.port))
-        return dst.closest_contacts(key, self.params.k)
+        dst = self._deliver(src, dst_nid)
+        return None if dst is None else dst.closest_contacts(key, self.params.k)
 
     def rpc_store(self, src: DhtNode, dst_nid: bytes, record: AnnounceRecord):
-        if not self._deliver(dst_nid):
+        dst = self._deliver(src, dst_nid)
+        if dst is None:
             return None
-        dst = self.nodes[dst_nid]
-        dst.observe((src.nid, src.ip, src.port))
         ok, reason = dst.handle_store(record, self.now_epoch)
         if not ok:
             self.store_rejects[reason] = self.store_rejects.get(reason, 0) + 1
         return ok
 
     def rpc_get(self, src: DhtNode, dst_nid: bytes, infohash: bytes):
-        if not self._deliver(dst_nid):
-            return None
-        dst = self.nodes[dst_nid]
-        dst.observe((src.nid, src.ip, src.port))
-        return dst.stored_records(infohash, self.now_epoch)
+        dst = self._deliver(src, dst_nid)
+        return None if dst is None else dst.stored_records(infohash, self.now_epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +321,7 @@ def bootstrap(net: DhtNet, node: DhtNode, bootstrap_addrs) -> int:
         if res is None:
             continue
         live += 1
-        node.observe(net.contact_of(nid))
+        node.observe((nid, ip, port))
         for c in res:
             node.observe(c)
     if not live:
@@ -335,8 +333,12 @@ def bootstrap(net: DhtNet, node: DhtNode, bootstrap_addrs) -> int:
 
 def dht_announce(net: DhtNet, node: DhtNode, infohash: bytes) -> int:
     """Offer a signed membership record to the k nodes closest to the
-    torrent key; returns how many accepted."""
-    record = make_record(node.kp, node.uid, infohash, node.ip, node.port)
+    torrent key; returns how many accepted.  The record binds no epoch, so it
+    is signed once per torrent and address and re-offered (BEP 44's re-put)."""
+    record = node.signed.get(infohash)
+    if record is None or (record.uid, record.ip, record.port) != (node.uid, node.ip, node.port):
+        record = node.signed[infohash] = make_record(node.kp, node.uid, infohash,
+                                                     node.ip, node.port)
     targets, _ = find_closest(net, node, torrent_key(infohash))
     accepted = 0
     for c in targets:
@@ -350,10 +352,10 @@ def dht_announce(net: DhtNet, node: DhtNode, infohash: bytes) -> int:
 
 
 def dht_get_peers(net: DhtNet, node: DhtNode, infohash: bytes):
-    """Collect records from the k closest nodes and re-verify them locally
-    before they can enter the local view: per pk, the first copy that passes
-    is kept, so one holder's forged copy cannot hide the valid ones.  Equal
-    copies are checked once."""
+    """Collect records from the k closest nodes and re-verify them locally,
+    returning those the caller may add to its view: per pk, the first copy
+    that passes is kept, so one holder's forged copy cannot hide the valid
+    ones.  Equal copies are checked once."""
     targets, _ = find_closest(net, node, torrent_key(infohash))
     collected = []
     for c in targets:
@@ -370,7 +372,5 @@ def dht_get_peers(net: DhtNet, node: DhtNode, infohash: bytes):
             kept[r.pk] = r
         else:
             refused.add(r)
-    verified = list(kept.values())
-    node.merge_view(infohash, verified)
-    return verified
+    return list(kept.values())
 

@@ -157,6 +157,12 @@ def verify(pk: bytes, message: bytes, sig: bytes) -> bool:
     return _verify_uncached(bytes(pk), bytes(message), bytes(sig))
 
 
+def clear_memos() -> None:
+    """Empty the hashing, decoding and verification memos (cold benchmarks)."""
+    for memo in (_bls.hash_to_g2, _bls.g1_from_bytes, _bls.g2_from_bytes, _verify_uncached):
+        memo.cache_clear()
+
+
 def aggregate(sigs) -> AggregateSignature:
     """Combine signatures; order-independent.  Raises on empty or garbage."""
     pts = [_bls.g2_from_bytes(bytes(s)) for s in sigs]

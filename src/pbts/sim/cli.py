@@ -59,7 +59,8 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     cm = C.bench_crypto(reps=args.reps)
-    speed = C.agg_speedups(cm)
+    one = cm.agg_one_signer_ms
+    speed, one_speed = C.agg_speedups(cm), C.agg_speedups(cm, one)
     doc = {
         "sign_ms": cm.sign_ms,
         "verify_ms": cm.verify_ms,
@@ -67,6 +68,8 @@ def cmd_bench(args) -> int:
         "session_verify_ms": cm.session_verify_ms,
         "agg_verify_ms": {str(k): v for k, v in sorted(cm.agg_verify_ms.items())},
         "agg_speedup": {str(k): v for k, v in sorted(speed.items())},
+        "one_signer_agg_verify_ms": {str(k): v for k, v in sorted(one.items())},
+        "one_signer_agg_speedup": {str(k): v for k, v in sorted(one_speed.items())},
     }
     if args.json:
         _emit(doc, as_json=True)
@@ -76,7 +79,8 @@ def cmd_bench(args) -> int:
         print(f"session sign    {cm.session_sign_ms:9.3f} ms")
         print(f"session verify  {cm.session_verify_ms:9.3f} ms")
         for b, ms in sorted(cm.agg_verify_ms.items()):
-            print(f"agg verify n={b:<4d}{ms:9.1f} ms  ({speed[b]:.2f}x vs {b} singles)")
+            print(f"agg verify n={b:<4d}{ms:9.1f} ms  ({speed[b]:.2f}x vs {b} singles, "
+                  f"{b} signers; one signer {one[b]:.1f} ms, {one_speed[b]:.2f}x)")
     return 0
 
 

@@ -15,6 +15,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from statistics import median
 
 from .. import attestation as at
 from .. import sigcrypto as sc
@@ -39,6 +40,7 @@ class CostModel:
     session_sign_ms: float = REF_SESSION_SIGN_MS
     session_verify_ms: float = REF_SESSION_VERIFY_MS
     agg_verify_ms: dict = field(default_factory=lambda: dict(REF_AGG_VERIFY_MS))
+    agg_one_signer_ms: dict = field(default_factory=dict)  # measured only
 
     def __post_init__(self):
         for name in ("sign_ms", "verify_ms", "session_sign_ms", "session_verify_ms"):
@@ -120,15 +122,26 @@ def table1(n: int = 2560, bls_op_ms: float = 2.0, session_op_ms: float = 0.2):
 _bench_run = itertools.count()
 
 
+def _cold_ms(check) -> float:
+    """Milliseconds that *check()* takes with every verification memo emptied."""
+    sc.clear_memos()
+    t0 = time.perf_counter()
+    if not check():
+        raise AssertionError("a benchmarked check failed")
+    return (time.perf_counter() - t0) * 1000.0
+
+
 def bench_crypto(reps: int = 200, agg_batches=(10, 25, 50, 100)) -> CostModel:
     """Measure per-op latencies on this host and return them as a CostModel.
     Every trial uses a distinct message — distinct across calls too, via a
-    process-wide run tag — so memoized verification paths cannot flatter the
-    numbers."""
+    process-wide run tag — and every check starts with empty memos, so
+    memoized paths cannot flatter the numbers.  ``agg_verify_ms`` aggregates
+    n distinct signers, as the paper does; ``agg_one_signer_ms`` n messages of
+    one signer, which cost one Miller pair whatever n."""
     if reps < 100:
         raise ValueError("need at least 100 repetitions for stable means")
     rng = random.Random(0)
-    keys = [sc.keygen(rng.getrandbits(256).to_bytes(32, "big")) for _ in range(8)]
+    keys = [sc.keygen(rng.getrandbits(256).to_bytes(32, "big")) for _ in range(reps)]
     skeys = [sc.session_keygen(rng.getrandbits(256).to_bytes(32, "big")) for _ in range(8)]
     tag = next(_bench_run)
 
@@ -136,44 +149,40 @@ def bench_crypto(reps: int = 200, agg_batches=(10, 25, 50, 100)) -> CostModel:
         return b"bench-msg-0-%d-%d" % (tag, i)
 
     t0 = time.perf_counter()
-    sigs = [sc.sign(keys[i % 8].sk, msg(i)) for i in range(reps)]
+    sigs = [sc.sign(keys[i].sk, msg(i)) for i in range(reps)]
     sign_ms = (time.perf_counter() - t0) / reps * 1000.0
 
     n_ver = min(reps, 120)
-    t0 = time.perf_counter()
-    ok = all(sc.verify(keys[i % 8].pk, msg(i), sigs[i]) for i in range(n_ver))
-    verify_ms = (time.perf_counter() - t0) / n_ver * 1000.0
-    assert ok
+    verify_ms = _cold_ms(lambda: all(
+        sc.verify(keys[i].pk, msg(i), sigs[i]) for i in range(n_ver))) / n_ver
 
     t0 = time.perf_counter()
     ssigs = [sc.session_sign(skeys[i % 8].sk, msg(i)) for i in range(reps)]
     session_sign_ms = (time.perf_counter() - t0) / reps * 1000.0
 
-    t0 = time.perf_counter()
-    ok = all(sc.session_verify(skeys[i % 8].pk, msg(i), ssigs[i]) for i in range(reps))
-    session_verify_ms = (time.perf_counter() - t0) / reps * 1000.0
-    assert ok
+    session_verify_ms = _cold_ms(lambda: all(
+        sc.session_verify(skeys[i % 8].pk, msg(i), ssigs[i]) for i in range(reps))) / reps
 
-    agg_ms = {}
-    for b in agg_batches:
-        pairs = [(keys[i % 8].pk, msg(10_000 + 1000 * b + i)) for i in range(b)]
-        batch_sigs = [sc.sign(keys[i % 8].sk, m) for i, (_, m) in enumerate(pairs)]
-        agg = sc.aggregate(batch_sigs)
-        t0 = time.perf_counter()
-        assert sc.aggregate_verify(pairs, agg)
-        agg_ms[b] = (time.perf_counter() - t0) * 1000.0
+    def agg_ms(signer, base: int) -> dict:  # median of 3, so one slowed run cannot decide
+        out = {}
+        for b in agg_batches:
+            signed = [(keys[signer(i)], msg(base + 1000 * b + i)) for i in range(b)]
+            agg = sc.aggregate([sc.sign(kp.sk, m) for kp, m in signed])
+            pairs = [(kp.pk, m) for kp, m in signed]
+            out[b] = median(_cold_ms(lambda: sc.aggregate_verify(pairs, agg)) for _ in range(3))
+        return out
 
     return CostModel(
         sign_ms=sign_ms,
         verify_ms=verify_ms,
         session_sign_ms=session_sign_ms,
         session_verify_ms=session_verify_ms,
-        agg_verify_ms=agg_ms,
+        agg_verify_ms=agg_ms(lambda i: i % reps, 10_000),
+        agg_one_signer_ms=agg_ms(lambda i: 0, 1_000_000),
     )
 
 
-def agg_speedups(cost: CostModel) -> dict:
-    """Single-verify time over aggregate-verify time, per batch size."""
-    return {
-        b: (cost.verify_ms * b) / ms for b, ms in sorted(cost.agg_verify_ms.items())
-    }
+def agg_speedups(cost: CostModel, agg_ms: dict | None = None) -> dict:
+    """Single-verify over aggregate-verify time per size of *agg_ms* (default: the model's)."""
+    agg_ms = cost.agg_verify_ms if agg_ms is None else agg_ms
+    return {b: (cost.verify_ms * b) / ms for b, ms in sorted(agg_ms.items())}

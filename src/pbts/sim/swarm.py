@@ -297,7 +297,8 @@ class SwarmSim:
             node = self.nodes[p.uid]
             self.net.now_epoch = at.epoch_of(t_s, self.ep)
             self.dht_fallback_announces += dht.dht_announce(self.net, node, self.meta.infohash)
-            dht.dht_get_peers(self.net, node, self.meta.infohash)
+            found = dht.dht_get_peers(self.net, node, self.meta.infohash)
+            p.view.update(r.pk for r in found if r.pk != p.kp.pk)
             self.dht_fallback_gets += 1
 
     # -- reporting ----------------------------------------------------------

@@ -94,7 +94,7 @@ def test_measured_aggregation_speedup():
     speed = C.agg_speedups(cost)
     ok = set(speed) == {10, 25, 50, 100} and all(s >= 1.5 for s in speed.values())
     check("aggregation-speedup", ok,
-          "measured vs one-by-one verification: " +
+          "measured vs one-by-one verification, distinct signers, cold memos: " +
           ", ".join(f"n={b}: {s:.2f}x" for b, s in sorted(speed.items())) +
           " (>=1.5x required)")
 

@@ -183,9 +183,11 @@ def test_bench_json(capsys):
     assert cli.main(["bench", "--reps", "100", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"sign_ms", "verify_ms", "session_sign_ms",
-                        "session_verify_ms", "agg_verify_ms", "agg_speedup"}
-    assert set(doc["agg_speedup"]) == {"10", "25", "50", "100"}
-    assert all(v > 0 for v in doc["agg_speedup"].values())
+                        "session_verify_ms", "agg_verify_ms", "agg_speedup",
+                        "one_signer_agg_verify_ms", "one_signer_agg_speedup"}
+    for regime in ("agg_speedup", "one_signer_agg_speedup"):
+        assert set(doc[regime]) == {"10", "25", "50", "100"}
+        assert all(v > 0 for v in doc[regime].values())
 
 
 def test_module_entry_point(scenario_file):

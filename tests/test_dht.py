@@ -1,6 +1,7 @@
 """Authenticated DHT: routing tables, iterative lookup, chain-gated stores,
 record TTL, and re-verification on retrieval."""
 
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -70,11 +71,43 @@ def nid_at_bucket(base: bytes, i: int, salt: int = 0) -> bytes:
     return v.to_bytes(dht.ID_LEN, "big")
 
 
+def table(node):
+    """Every contact in *node*'s routing table."""
+    return [c for bucket in node.buckets for c in bucket]
+
+
 def bare_node(seed=0, k=2):
     # routing-table mechanics never touch the chain, so none is wired up
     kp = sc.keygen(sc.hash_data(b"bare-%d" % seed))
     return dht.DhtNode(kp=kp, uid=b"bare", ip="10.9.9.9", port=1, chain=None,
                        addr_rep=b"", min_rep=0, params=dht.DhtParams(k=k))
+
+
+def lossy_net(n=96, k=8, seed=61, dead=6):
+    """Routing-only nodes that joined one by one through node 0, so tables
+    are partial; then 5% of RPCs are lost and the last *dead* nodes never
+    answer, so lookups take several rounds and evict as they go."""
+    params = dht.DhtParams(k=k)
+    net = dht.DhtNet(params=params, rng=random.Random(seed))
+    nodes = []
+    for i in range(n):
+        kp = sc.keygen(sc.hash_data(b"lossy-%d-%d" % (seed, i)))
+        node = dht.DhtNode(kp=kp, uid=b"l%03d" % i, ip="10.6.%d.%d" % (i // 256, i % 256),
+                           port=7000 + i, chain=None, addr_rep=b"", min_rep=0, params=params)
+        if nodes:
+            dht.bootstrap(net, node, [(nodes[0].ip, nodes[0].port)])
+        else:
+            net.add_node(node)
+        nodes.append(node)
+    net.drop_rate = 0.05
+    net.dead.update(x.nid for x in nodes[n - dead:])
+    return net, nodes
+
+
+# Recorded before closest_contacts walked the buckets (it ranked the whole
+# table then): 200 lookups' contacts, rounds and running rpc_count, and every
+# node's buckets afterwards.
+GOLDEN_LOOKUPS = "22b2b3e25c0cefe2bd57fabca081c527e9a29727177c4282c98e25af614423b6"
 
 
 class TestIds:
@@ -145,7 +178,7 @@ class TestRoutingTable:
     def test_never_stores_itself(self):
         node = bare_node(k=4)
         node.observe((node.nid, node.ip, node.port))
-        assert list(node.contacts()) == []
+        assert table(node) == []
 
     def test_closest_contacts_sorted_by_distance(self):
         node = bare_node(seed=3, k=8)
@@ -156,11 +189,33 @@ class TestRoutingTable:
             node.observe(c)
         key = bytes(rng.randrange(256) for _ in range(20))
         got = node.closest_contacts(key, 10)
-        want = sorted(node.contacts(),
+        want = sorted(table(node),
                       key=lambda c: dht.xor_distance(c[0], key))[:10]
         assert got == want
         dists = [dht.xor_distance(c[0], key) for c in got]
         assert dists == sorted(dists)
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 20])
+    def test_bucket_walk_equals_full_ranking(self, k):
+        node = bare_node(seed=k, k=k)
+        rng = random.Random(k)
+        for i in range(dht.ID_BITS):  # every bucket, up to 3 contacts each
+            for salt in range(3):
+                node.observe((nid_at_bucket(node.nid, i, salt=rng.getrandbits(160) + salt),
+                              "10.4.0.1", i))
+        for _ in range(40):  # random ids crowd the top buckets
+            node.observe((rng.randbytes(dht.ID_LEN), "10.4.0.2", 1))
+        contacts = table(node)
+        own = int.from_bytes(node.nid, "big")
+        keys = [node.nid, contacts[0][0], contacts[-1][0]]
+        for p in range(dht.ID_BITS):  # shares exactly a p-bit prefix with the own id
+            v = own ^ (1 << (dht.ID_BITS - 1 - p)) ^ rng.getrandbits(dht.ID_BITS - 1 - p)
+            keys.append(v.to_bytes(dht.ID_LEN, "big"))
+        keys += [rng.randbytes(dht.ID_LEN) for _ in range(20)]
+        for key in keys:
+            ranked = sorted(contacts, key=lambda c: dht.xor_distance(c[0], key))
+            for count in (0, 1, k, len(contacts) + 5):
+                assert node.closest_contacts(key, count) == ranked[:count]
 
 
 class TestLookup:
@@ -190,7 +245,18 @@ class TestLookup:
         live = [x.nid for x in env.nodes if x.nid != dead.nid]
         want = sorted(live, key=lambda nid: dht.xor_distance(nid, dead.nid))
         assert [c[0] for c in got] == want[: env.params.k]
-        assert dead.nid not in [c[0] for c in env.nodes[0].contacts()]
+        assert dead.nid not in [c[0] for c in table(env.nodes[0])]
+
+    def test_lookups_on_a_lossy_net_match_the_recording(self):
+        net, nodes = lossy_net()
+        live = [x for x in nodes if x.nid not in net.dead]
+        rng, h = random.Random(62), hashlib.sha256()
+        for _ in range(200):
+            got, rounds = dht.find_closest(net, rng.choice(live), rng.randbytes(dht.ID_LEN))
+            h.update(repr((got, rounds, net.rpc_count)).encode())
+        for x in nodes:
+            h.update(repr(x.buckets).encode())
+        assert h.hexdigest() == GOLDEN_LOOKUPS
 
     def test_rpcs_are_counted(self):
         env = Net(6, seed=5)
@@ -253,6 +319,66 @@ class TestStoreGating:
         assert n0.handle_store(env.record(1), 4) == (False, "low_rep")
 
 
+class TestRecordReuse:
+    @staticmethod
+    def count_signs(monkeypatch):
+        calls = []
+        sign = sc.sign
+        monkeypatch.setattr(sc, "sign", lambda sk, msg: calls.append(msg) or sign(sk, msg))
+        return calls
+
+    def test_one_signature_for_four_announces(self, monkeypatch):
+        env = Net(6, seed=71)
+        calls = self.count_signs(monkeypatch)
+        for epoch in range(4):
+            env.net.now_epoch = epoch
+            assert dht.dht_announce(env.net, env.nodes[1], IH) == 6
+        assert len(calls) == 1
+
+    def test_reused_record_is_the_fresh_one(self, monkeypatch):
+        env = Net(6, seed=72)
+        offered = []
+        store = env.net.rpc_store
+        monkeypatch.setattr(env.net, "rpc_store",
+                            lambda src, dst, r: offered.append(r) or store(src, dst, r))
+        dht.dht_announce(env.net, env.nodes[1], IH)
+        offered.clear()
+        assert dht.dht_announce(env.net, env.nodes[1], IH) == 6
+        fresh = env.record(1)
+        assert offered and all(r is env.nodes[1].signed[IH] for r in offered)
+        assert offered[0] == fresh and offered[0].sig == fresh.sig
+
+    def test_new_port_signs_anew_and_is_served(self, monkeypatch):
+        env = Net(6, seed=73)
+        calls = self.count_signs(monkeypatch)
+        node = env.nodes[1]
+        assert dht.dht_announce(env.net, node, IH) == 6
+        node.port = 7777
+        assert dht.dht_announce(env.net, node, IH) == 6
+        assert len(calls) == 2
+        got = dht.dht_get_peers(env.net, env.nodes[4], IH)
+        assert [(r.pk, r.port) for r in got] == [(node.kp.pk, 7777)]
+
+    def test_reuse_skips_no_holder_check(self, monkeypatch):
+        env = Net(6, seed=74)
+        calls = self.count_signs(monkeypatch)
+        assert dht.dht_announce(env.net, env.nodes[1], IH) == 6
+        env.slash(1)
+        assert dht.dht_announce(env.net, env.nodes[1], IH) == 0
+        assert len(calls) == 1
+        assert env.net.store_rejects == {"low_rep": 5}  # every holder but itself
+
+    def test_two_torrents_keep_two_records(self, monkeypatch):
+        env = Net(6, seed=75)
+        calls = self.count_signs(monkeypatch)
+        other = sc.hash_data(b"dht-swarm-2")
+        for _ in range(2):
+            for ih in (IH, other):
+                assert dht.dht_announce(env.net, env.nodes[1], ih) == 6
+        assert len(calls) == 2
+        assert env.nodes[1].signed == {IH: env.record(1), other: env.record(1, other)}
+
+
 class TestTtl:
     def test_expiry_boundary(self):
         env = Net(3, seed=31)  # ttl_epochs=2
@@ -285,9 +411,8 @@ class TestRetrieve:
         env = Net(6, seed=41)
         assert dht.dht_announce(env.net, env.nodes[1], IH) == 6
         got = dht.dht_get_peers(env.net, env.nodes[4], IH)
-        assert [r.pk for r in got] == [env.nodes[1].kp.pk]
-        view = env.nodes[4].local_views[IH]
-        assert view[env.nodes[1].kp.pk] == (env.nodes[1].ip, env.nodes[1].port)
+        one = env.nodes[1]
+        assert [(r.pk, r.ip, r.port) for r in got] == [(one.kp.pk, one.ip, one.port)]
 
     def test_tampered_stored_record_never_enters_a_view(self):
         env = Net(6, seed=42)
@@ -295,8 +420,7 @@ class TestRetrieve:
         forged = replace(good, port=4444, stored_epoch=0)
         for holder in env.nodes:  # plant everywhere, bypassing handle_store
             holder.store[IH] = {forged.pk: forged}
-        assert dht.dht_get_peers(env.net, env.nodes[3], IH) == []
-        assert env.nodes[3].local_views.get(IH, {}) == {}
+        assert dht.dht_get_peers(env.net, env.nodes[3], IH) == []  # nothing to add
 
     def test_one_lying_holder_cannot_hide_a_valid_record(self):
         env = Net(6, seed=42)
@@ -306,8 +430,7 @@ class TestRetrieve:
         good = closest.store[IH][env.nodes[1].kp.pk]
         closest.store[IH][good.pk] = replace(good, port=4444)
         got = dht.dht_get_peers(env.net, env.nodes[3], IH)
-        assert [(r.pk, r.port) for r in got] == [(good.pk, good.port)]
-        assert env.nodes[3].local_views[IH][good.pk] == (good.ip, good.port)
+        assert [(r.pk, r.ip, r.port) for r in got] == [(good.pk, good.ip, good.port)]
 
     def test_retrieval_rechecks_reputation(self):
         # stored while in good standing, slashed afterwards: the stale copy
@@ -354,7 +477,7 @@ class TestJoin:
         node.cached_bootstrap.append((env.nodes[0].ip, env.nodes[0].port))
         assert dht.bootstrap(env.net, node, [("10.254.0.1", 1)]) == 1
         assert env.net.nodes[node.nid] is node
-        assert len(list(node.contacts())) > 0
+        assert len(table(node)) > 0
         # the newcomer is now discoverable
         got, _ = dht.find_closest(env.net, env.nodes[2], node.nid)
         assert got[0][0] == node.nid

@@ -369,6 +369,16 @@ class TestOutageAndMigration:
         for p in res.metrics["peers"].values():
             assert p["chain_down"] == p["receipted_down"]
 
+    def test_outage_announce_adds_dht_peers_to_the_view(self):
+        sc = scn.Scenario(name="outage-view", seed=4, peers=4, seeders=1,
+                          file_size=3 * 1024, piece_size=512,
+                          tracker_down=((5_000, 36_000),))
+        sim = swarm.SwarmSim(sc, FAST)
+        seeder, leecher = sim.peers[0], sim.peers[1]
+        sim.t, leecher.view = 10_000.0, set()
+        sim._announce(leecher, "completed")
+        assert leecher.view == {seeder.kp.pk}  # the seeder's record; never its own
+
     def test_migration_preserves_every_balance(self):
         control = dataclasses.replace(BASE, name="ctl")
         moved = dataclasses.replace(
