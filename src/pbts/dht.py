@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import contract as ct
@@ -87,7 +87,6 @@ class AnnounceRecord:
     port: int
     infohash: bytes
     sig: bytes
-    stored_epoch: int | None = None
 
 
 def make_record(kp: sc.KeyPair, uid: bytes, infohash: bytes, ip: str, port: int) -> AnnounceRecord:
@@ -113,7 +112,7 @@ class DhtNode:
     def __post_init__(self):
         self.nid = node_id(self.kp.pk)
         self.buckets = [[] for _ in range(ID_BITS)]  # entries: (nid, ip, port)
-        self.store = {}   # infohash -> {pk: AnnounceRecord}
+        self.store = {}   # infohash -> {pk: (AnnounceRecord, epoch stored)}
         self.signed = {}  # infohash -> the last record this node signed for it
 
     # -- routing table -------------------------------------------------------
@@ -182,7 +181,7 @@ class DhtNode:
         ok, reason = self.check_record(record)
         if ok:
             per_torrent = self.store.setdefault(record.infohash, {})
-            per_torrent[record.pk] = replace(record, stored_epoch=now_epoch)
+            per_torrent[record.pk] = (record, now_epoch)
         return ok, reason
 
     def sweep(self, now_epoch: int) -> int:
@@ -191,7 +190,7 @@ class DhtNode:
         for infohash in list(self.store):
             per = self.store[infohash]
             for pk in list(per):
-                if now_epoch >= per[pk].stored_epoch + self.params.ttl_epochs:
+                if now_epoch >= per[pk][1] + self.params.ttl_epochs:
                     del per[pk]
                     evicted += 1
             if not per:
@@ -200,7 +199,7 @@ class DhtNode:
 
     def stored_records(self, infohash: bytes, now_epoch: int):
         self.sweep(now_epoch)
-        return list(self.store.get(infohash, {}).values())
+        return [record for record, _ in self.store.get(infohash, {}).values()]
 
 
 # ---------------------------------------------------------------------------

@@ -152,9 +152,11 @@ def bench_crypto(reps: int = 200, agg_batches=(10, 25, 50, 100)) -> CostModel:
     sigs = [sc.sign(keys[i].sk, msg(i)) for i in range(reps)]
     sign_ms = (time.perf_counter() - t0) / reps * 1000.0
 
-    n_ver = min(reps, 120)
-    verify_ms = _cold_ms(lambda: all(
-        sc.verify(keys[i].pk, msg(i), sigs[i]) for i in range(n_ver))) / n_ver
+    # timed like the aggregates: median of 3 cold runs, over distinct thirds
+    third = min(reps, 120) // 3
+    verify_ms = median(_cold_ms(lambda: all(
+        sc.verify(keys[i].pk, msg(i), sigs[i]) for i in range(k * third, (k + 1) * third)))
+        for k in range(3)) / third
 
     t0 = time.perf_counter()
     ssigs = [sc.session_sign(skeys[i % 8].sk, msg(i)) for i in range(reps)]

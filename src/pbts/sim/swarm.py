@@ -177,9 +177,11 @@ class SwarmSim:
         return [p for p in self.peers
                 if p is not leecher and index in p.have and p.kp.pk in leecher.view]
 
-    def _attest_charge(self, leecher: PeerState, sender: PeerState, index: int) -> float:
+    def _attest_charge(self, leecher: PeerState, sender: PeerState, index: int,
+                       dur: float) -> float:
         """Latency charged to this piece's transfer for receipt work, per the
-        active policy and the receiver's current buffering state."""
+        active policy and the receiver's current buffering state; the transfer
+        itself takes *dur* ms from now."""
         pol = self.sc.policy
         c = self.cost
         if isinstance(pol, at.BatchPolicy):
@@ -192,8 +194,10 @@ class SwarmSim:
                 flushes = 1 if len(leecher.batch_buf.get(spk, ())) + 1 >= pol.k else 0
             return flushes * (c.sign_ms + c.verify_ms)
         if isinstance(pol, at.SessionPolicy):
-            epoch = at.epoch_of(self._t_s(self.t), self.ep)
+            # the key of the epoch the piece lands in; a cert's cost can only push
+            # it into a later epoch, which has no key yet either
             charge = c.session_sign_ms + c.session_verify_ms
+            epoch = at.epoch_of(self._t_s(self.t + (dur + charge)), self.ep)
             if (sender.kp.pk, epoch) not in leecher.session_keys:
                 charge += c.sign_ms + c.verify_ms  # certificate mint + check
             return charge
@@ -208,7 +212,7 @@ class SwarmSim:
         holders = self._holders(leecher, index)
         sender = leecher.rng.choice(holders)
         dur = at.piece_len(self.meta, index) / self.sc.bandwidth * 1000.0
-        dur += self._attest_charge(leecher, sender, index)
+        dur += self._attest_charge(leecher, sender, index, dur)
         self._push(self.t + dur, "finish", (leecher, sender, index))
 
     def _flush_batch_buf(self, leecher: PeerState, sender_pk: bytes, t_s: int):
@@ -317,7 +321,7 @@ class SwarmSim:
             nbytes = 32 * sum(len(r.pieces) for r in payload.receipts) + 96
         else:
             ok = self.tracker.report_session(payload, t_s)
-            nbytes = 64 * len(payload.items) + 96 * len(payload.certs)
+            nbytes = sum(64 * len(srs) + 96 for _, _, srs in payload.sessions)
         self.ops["agg_verify"] += 1
         if ok:
             self.counts["reports_ok"] += 1

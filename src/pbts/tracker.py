@@ -9,6 +9,14 @@ kinds: long-term receipts, where a per-piece receipt is a batch of one, and
 session receipts under a certified key.  Both spend one replay id per piece,
 so a piece credited through either cannot be credited again inside the
 window, and a report overlapping a credited piece is refused whole.
+
+A report carries each fact once: the reporter's uid and key, the torrent's
+infohash (the tracker holds the metadata), each downloader's uid beside its
+receipt or cert (whose signed fields name the downloader's key), the receipts
+or certs without their signatures, the one aggregate that replaces those,
+and the upload claimed.  Nobody reports their own download: it grows only
+when another peer's receipts credit it.
+
 Migration spins up a successor instance whose contract names the old one as
 referrer, so one previous generation of records stays readable.
 
@@ -80,32 +88,6 @@ def announce_msg(uid: bytes, tid: bytes, event: str) -> bytes:
     )
 
 
-def admit_announce(views: dict, read, frm, min_rep, rng: random.Random):
-    """The tracker's announce-admission rule.  *frm* is (uid, pk, sig, tid,
-    event, ip, port); *read(uid)* returns uid's reputation record, or None
-    when there is none to be had.  Updates ``views[tid]`` and returns a sample
-    of at most ``DEFAULT_SAMPLE_CAP`` peers, or [] when the announce is
-    refused."""
-    uid, pk, sig, tid, event, ip, port = frm
-    if event not in EVENTS:
-        return []
-    record = read(uid)
-    if record is None or record.pk != pk:
-        return []
-    if not sc.verify(pk, announce_msg(uid, tid, event), sig):
-        return []
-    if event == "started" and rep(record.up, record.down) < min_rep:
-        return []
-    view = views.setdefault(tid, {})
-    if event == "stopped":
-        view.pop(pk, None)
-    else:
-        view[pk] = (ip, port)
-    others = sorted(p for p in view if p != pk)
-    picked = rng.sample(others, min(DEFAULT_SAMPLE_CAP, len(others)))
-    return [(p, view[p][0], view[p][1]) for p in picked]
-
-
 # ---------------------------------------------------------------------------
 # report payloads
 
@@ -114,83 +96,60 @@ def admit_announce(views: dict, read, frm, min_rep, rng: random.Random):
 class ReportPayload:
     uid: bytes
     pk: bytes
-    peers: tuple          # (pk_j, uid_j) per receipt
-    meta: at.TorrentMeta
+    infohash: bytes
+    uids: tuple           # the downloader's uid per receipt
     receipts: tuple       # Receipt or BatchReceipt, each without its signature
     agg_sig: sc.AggregateSignature
-    delta_up: int
-    delta_down: int
+    delta_up: int         # the upload claimed, which the receipts must add up to
 
 
 @dataclass(frozen=True)
 class SessionReportPayload:
     uid: bytes
     pk: bytes
-    peers: tuple          # (pk_j, uid_j) per cert
-    meta: at.TorrentMeta
-    certs: tuple
+    infohash: bytes
+    sessions: tuple       # (cert without its signature, downloader uid, (SessionReceipt, ...))
     agg_sig: sc.AggregateSignature
-    items: tuple          # (cert index, SessionReceipt)
     delta_up: int
-    delta_down: int
 
 
 def build_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, entries,
-                 _params=None, delta_down: int = 0) -> ReportPayload:
+                 _params=None) -> ReportPayload:
     """Assemble a report from (long-term receipt, downloader uid) pairs the
     reporter collected while seeding; a receipt may cover one piece or many.
     The aggregate signature replaces the individual receipt signatures on the
     wire.  *_params* is unused; callers may pass the epoch parameters there."""
-    peers, receipts, sigs = [], [], []
+    uids, receipts, sigs = [], [], []
     total = 0
     for r, peer_uid in entries:
         if r.sender_pk != pk or r.infohash != meta.infohash:
             raise ValueError("receipt does not belong to this reporter/torrent")
-        peers.append((r.receiver_pk, peer_uid))
+        uids.append(peer_uid)
         receipts.append(replace(r, sig=b""))
         sigs.append(r.sig)
         total += sum(at.piece_len(meta, j) for j, _ in r.pieces)
-    return ReportPayload(
-        uid=uid,
-        pk=pk,
-        peers=tuple(peers),
-        meta=meta,
-        receipts=tuple(receipts),
-        agg_sig=sc.aggregate(sigs),
-        delta_up=total,
-        delta_down=delta_down,
-    )
+    return ReportPayload(uid=uid, pk=pk, infohash=meta.infohash, uids=tuple(uids),
+                         receipts=tuple(receipts), agg_sig=sc.aggregate(sigs), delta_up=total)
 
 
-def build_batch_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, entries,
-                       delta_down: int = 0) -> ReportPayload:
-    return build_report(uid, pk, meta, entries, None, delta_down)
+def build_batch_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, entries) -> ReportPayload:
+    return build_report(uid, pk, meta, entries)
 
 
-def build_session_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, sessions,
-                         delta_down: int = 0) -> SessionReportPayload:
-    """*sessions* is an iterable of (cert, downloader uid, [session receipts])."""
-    peers, certs, items = [], [], []
+def build_session_report(uid: bytes, pk: bytes, meta: at.TorrentMeta,
+                         sessions) -> SessionReportPayload:
+    """*sessions* is an iterable of (cert, downloader uid, [session receipts]).
+    The aggregate signature replaces the cert signatures on the wire."""
+    out, sigs = [], []
     total = 0
-    for ci, (cert, peer_uid, srs) in enumerate(sessions):
+    for cert, peer_uid, srs in sessions:
         if cert.sender_pk != pk or cert.infohash != meta.infohash:
             raise ValueError("cert does not belong to this reporter/torrent")
-        peers.append((cert.receiver_pk, peer_uid))
-        certs.append(cert)
-        for sr in srs:
-            items.append((ci, sr))
-            total += at.piece_len(meta, sr.index)
-    return SessionReportPayload(
-        uid=uid,
-        pk=pk,
-        peers=tuple(peers),
-        meta=meta,
-        certs=tuple(certs),
-        agg_sig=sc.aggregate(c.sig for c in certs),
-        items=tuple(items),
-        delta_up=total,
-        delta_down=delta_down,
-    )
+        out.append((replace(cert, sig=b""), peer_uid, tuple(srs)))
+        sigs.append(cert.sig)
+        total += sum(at.piece_len(meta, sr.index) for sr in srs)
+    return SessionReportPayload(uid=uid, pk=pk, infohash=meta.infohash, sessions=tuple(out),
+                                agg_sig=sc.aggregate(sigs), delta_up=total)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +229,26 @@ class Tracker:
         return self._write(uid, pk, self.pp.init_credit, 0)
 
     def announce(self, uid: bytes, pk: bytes, sig: bytes, tid: bytes, event: str,
-                 ip: str, port: int, rng: random.Random | None = None):
-        return admit_announce(
-            self.swarms, lambda u: ct.sc_read(self.chain, self.addr, u),
-            (uid, pk, sig, tid, event, ip, port), self.pp.min_rep, rng or self.rng)
+                 ip: str, port: int):
+        """Admit an announce into swarm *tid*'s view and return a sample of at
+        most ``DEFAULT_SAMPLE_CAP`` other peers as (pk, ip, port), or [] when
+        the announce is refused.  Only "started" is gated on reputation, so a
+        peer below the threshold can still leave or finish."""
+        if event not in EVENTS:
+            return []
+        record = self._resolve(pk, uid)
+        if record is None or not sc.verify(pk, announce_msg(uid, tid, event), sig):
+            return []
+        if event == "started" and rep(record.up, record.down) < self.pp.min_rep:
+            return []
+        view = self.swarms.setdefault(tid, {})
+        if event == "stopped":
+            view.pop(pk, None)
+        else:
+            view[pk] = (ip, port)
+        others = sorted(p for p in view if p != pk)
+        picked = self.rng.sample(others, min(DEFAULT_SAMPLE_CAP, len(others)))
+        return [(p, view[p][0], view[p][1]) for p in picked]
 
     # -- reports -------------------------------------------------------------
 
@@ -286,8 +261,8 @@ class Tracker:
         return self._admit(payload, now, self._session_claims)
 
     def _resolve(self, pk: bytes, uid: bytes):
-        """uid's record on chain if it holds *pk*, else None: the identity
-        rule of ``admit_announce``, so a key registered under two uids acts
+        """uid's record on chain if it holds *pk*, else None: the one identity
+        rule of announces and reports, so a key registered under two uids acts
         as either."""
         record = ct.sc_read(self.chain, self.addr, uid)
         return record if record is not None and record.pk == pk else None
@@ -306,9 +281,9 @@ class Tracker:
         report naming an id already spent is refused whole.  The aggregate
         must cover *pairs*; item_sigs yields the outcome of each signature
         the aggregate does not cover."""
-        meta = self.torrents.get(p.meta.infohash)
+        meta = self.torrents.get(p.infohash)
         reporter = self._resolve(p.pk, p.uid)
-        if meta is None or p.delta_down < 0 or reporter is None:
+        if meta is None or reporter is None:
             return False
         expanded = expand(p, meta, now)
         if expanded is None:
@@ -335,8 +310,7 @@ class Tracker:
         if not sc.aggregate_verify(pairs, p.agg_sig) or not all(item_sigs):
             return False
         records = {uid: rec for (_, uid), rec in resolved.items()}
-        if not self._write(p.uid, reporter.pk, reporter.up + p.delta_up,
-                           reporter.down + p.delta_down,
+        if not self._write(p.uid, reporter.pk, reporter.up + p.delta_up, reporter.down,
                            *((u, records[u].pk, records[u].up, records[u].down + size)
                              for u, size in credits.items())):
             return False
@@ -345,17 +319,15 @@ class Tracker:
 
     def _receipt_claims(self, p: ReportPayload, meta: at.TorrentMeta, now: int):
         """One claim per long-term receipt, of either shape."""
-        if len(p.peers) != len(p.receipts):
+        if len(p.uids) != len(p.receipts):
             return None
         claims, pairs = [], []
-        for r, (pk_j, uid_j) in zip(p.receipts, p.peers):
-            if r.sender_pk != p.pk or r.receiver_pk != pk_j:
-                return None
-            msg = at.signed_msg(r, meta)
+        for r, uid_j in zip(p.receipts, p.uids):
+            msg = at.signed_msg(r, meta) if r.sender_pk == p.pk else None
             if msg is None:
                 return None
-            claims.append((pk_j, uid_j, r.epoch, r.pieces))
-            pairs.append((pk_j, msg))
+            claims.append((r.receiver_pk, uid_j, r.epoch, r.pieces))
+            pairs.append((r.receiver_pk, msg))
         return claims, pairs, ()
 
     def _session_claims(self, p: SessionReportPayload, meta: at.TorrentMeta, now: int):
@@ -363,23 +335,18 @@ class Tracker:
         own epoch and downloader: a cert is checked even when no receipt uses it.
         The aggregate covers the certs; each receipt carries its own session
         signature."""
-        if len(p.peers) != len(p.certs) or not p.items:
-            return None
-        for cert, (pk_j, _) in zip(p.certs, p.peers):
-            if cert.sender_pk != p.pk or cert.infohash != meta.infohash:
-                return None
-            if cert.receiver_pk != pk_j or not sc.fits_uint(cert.epoch):
-                return None
         claims = []
-        for ci, sr in p.items:
-            if not 0 <= ci < len(p.certs) or not at.piece_matches(meta, sr.index, sr.piece_hash):
+        for c, uid_j, srs in p.sessions:
+            if c.sender_pk != p.pk or c.infohash != meta.infohash or not sc.fits_uint(c.epoch):
                 return None
-            pk_j, uid_j = p.peers[ci]
-            claims.append((pk_j, uid_j, sr.epoch, ((sr.index, sr.piece_hash),)))
-        claims += [(pk_j, uid_j, c.epoch, ()) for c, (pk_j, uid_j) in zip(p.certs, p.peers)]
-        pairs = [(c.receiver_pk, at.cert_msg(c)) for c in p.certs]
-        item_sigs = (at.verify_session_receipt(p.certs[ci], sr, meta, now, self.epoch)
-                     for ci, sr in p.items)
+            for sr in srs:
+                if not at.piece_matches(meta, sr.index, sr.piece_hash):
+                    return None
+                claims.append((c.receiver_pk, uid_j, sr.epoch, ((sr.index, sr.piece_hash),)))
+        claims += [(c.receiver_pk, uid_j, c.epoch, ()) for c, uid_j, _ in p.sessions]
+        pairs = [(c.receiver_pk, at.cert_msg(c)) for c, _, _ in p.sessions]
+        item_sigs = (at.verify_session_receipt(c, sr, meta, now, self.epoch)
+                     for c, _, srs in p.sessions for sr in srs)
         return claims, pairs, item_sigs
 
     def gc_recent(self, now: int) -> int:

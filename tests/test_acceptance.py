@@ -190,7 +190,7 @@ def _store_script(seed: int):
     audit_failed = 0
     for node in env.nodes:
         for per in node.store.values():
-            for rec in per.values():
+            for rec, _ in per.values():
                 on_chain = ct.sc_read(env.chain, env.tracker.addr, rec.uid)
                 msg = dht.announce_record_msg(rec.infohash, rec.pk, rec.ip, rec.port)
                 if (on_chain is None or on_chain.pk != rec.pk

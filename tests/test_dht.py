@@ -137,7 +137,6 @@ class TestRecords:
     def test_record_signs_the_announce_message(self):
         kp = sc.keygen(b"\x09" * 32)
         r = dht.make_record(kp, b"u", IH, "10.0.0.1", 6881)
-        assert r.stored_epoch is None
         msg = dht.announce_record_msg(r.infohash, r.pk, r.ip, r.port)
         assert sc.verify(kp.pk, msg, r.sig)
 
@@ -271,9 +270,7 @@ class TestStoreGating:
         r = env.record(1)
         ok, why = env.nodes[0].handle_store(r, 7)
         assert (ok, why) == (True, None)
-        stored = env.nodes[0].store[IH][r.pk]
-        assert stored.stored_epoch == 7
-        assert (stored.ip, stored.port) == (r.ip, r.port)
+        assert env.nodes[0].store[IH][r.pk] == (r, 7)
 
     def test_unregistered_uid_rejected(self):
         env = Net(5, seed=12)
@@ -417,9 +414,9 @@ class TestRetrieve:
     def test_tampered_stored_record_never_enters_a_view(self):
         env = Net(6, seed=42)
         good = env.record(1)
-        forged = replace(good, port=4444, stored_epoch=0)
+        forged = replace(good, port=4444)
         for holder in env.nodes:  # plant everywhere, bypassing handle_store
-            holder.store[IH] = {forged.pk: forged}
+            holder.store[IH] = {forged.pk: (forged, 0)}
         assert dht.dht_get_peers(env.net, env.nodes[3], IH) == []  # nothing to add
 
     def test_one_lying_holder_cannot_hide_a_valid_record(self):
@@ -427,8 +424,8 @@ class TestRetrieve:
         assert dht.dht_announce(env.net, env.nodes[1], IH) == 6
         key = dht.torrent_key(IH)
         closest = min(env.nodes, key=lambda n: dht.xor_distance(n.nid, key))
-        good = closest.store[IH][env.nodes[1].kp.pk]
-        closest.store[IH][good.pk] = replace(good, port=4444)
+        good, epoch = closest.store[IH][env.nodes[1].kp.pk]
+        closest.store[IH][good.pk] = (replace(good, port=4444), epoch)
         got = dht.dht_get_peers(env.net, env.nodes[3], IH)
         assert [(r.pk, r.ip, r.port) for r in got] == [(good.pk, good.ip, good.port)]
 
@@ -444,12 +441,28 @@ class TestRetrieve:
         assert dht.dht_get_peers(env.net, requester, IH) == []
         assert len(checked) == 1  # the holders' equal copies cost one chain read
 
+    def test_copies_stored_in_different_epochs_are_checked_once(self):
+        # the store epoch is the holder's bookkeeping, not part of the record
+        env = Net(6, seed=43, ttl=4)
+        assert dht.dht_announce(env.net, env.nodes[1], IH) == 6  # epoch 0
+        record = env.nodes[1].signed[IH]
+        for holder in env.nodes[3:]:
+            assert holder.handle_store(record, 1) == (True, None)
+        env.net.now_epoch = 1
+        env.slash(1)
+        requester, checked = env.nodes[2], []
+        check = requester.check_record
+        requester.check_record = lambda r: checked.append(r) or check(r)
+        assert dht.dht_get_peers(env.net, requester, IH) == []
+        assert len(checked) == 1
+        assert checked == [record]
+
     def test_unregistered_record_dropped_on_retrieval(self):
         env = Net(5, seed=44)
         kp = sc.keygen(b"\x55" * 32)
         ghost = dht.make_record(kp, b"ghost", IH, "10.8.8.8", 1111)
         for holder in env.nodes:
-            holder.store[IH] = {ghost.pk: replace(ghost, stored_epoch=0)}
+            holder.store[IH] = {ghost.pk: (ghost, 0)}
         assert dht.dht_get_peers(env.net, env.nodes[0], IH) == []
 
 

@@ -322,6 +322,20 @@ class TestLedger:
             len({e["sender"] for e in res.ground_truth if e["receiver"] == name})
             for name in leechers(res))
 
+    def test_session_cert_is_charged_in_the_epoch_the_piece_lands(self):
+        # at a one-second epoch most pieces land in a later epoch than the
+        # one their transfer starts in; each cert opened is charged once
+        sim = swarm.SwarmSim(scn.Scenario(
+            seed=3, peers=3, seeders=1, file_size=8192, piece_size=1024,
+            bandwidth=1500.0, epoch_window=1, policy=at.SessionPolicy()))
+        res, c = sim.run(), sim.cost
+        for p in sim.peers[1:]:
+            mine = [e for e in res.ground_truth if e["receiver"] == p.name]
+            busy = sum(e["bytes"] / 1500.0 * 1000.0 for e in mine)
+            busy += len(mine) * (c.session_sign_ms + c.session_verify_ms)
+            busy += len(p.session_keys) * (c.sign_ms + c.verify_ms)
+            assert mine[-1]["t_ms"] == pytest.approx(busy), p.name
+
 
 class TestDeterminism:
     def test_identical_runs_emit_identical_metrics(self):

@@ -211,9 +211,8 @@ class TestReport:
         other_meta = at.make_torrent("other", [sc.hash_data(b"q")], 700)
         r_other = dataclasses.replace(r1, infohash=other_meta.infohash)
         foreign = tr.ReportPayload(  # torrent the tracker never indexed
-            uid=b"u0", pk=env.users[0][1].pk, peers=((env.users[1][1].pk, b"u1"),),
-            meta=other_meta, receipts=(r_other,), agg_sig=sc.aggregate([r_other.sig]),
-            delta_up=700, delta_down=0)
+            uid=b"u0", pk=env.users[0][1].pk, infohash=other_meta.infohash, uids=(b"u1",),
+            receipts=(r_other,), agg_sig=sc.aggregate([r_other.sig]), delta_up=700)
         assert not env.t.report(foreign, NOW)
 
         stale = env.report_for(0, [(env.receipt(1, 0, 4, t=NOW - 3 * W), b"u1")])
@@ -223,8 +222,8 @@ class TestReport:
 
     def test_empty_report_rejected(self, env):
         payload = tr.ReportPayload(
-            uid=b"u0", pk=env.users[0][1].pk, peers=(), meta=env.meta, receipts=(),
-            agg_sig=sc.AggregateSignature(b"\x00" * 96, 0), delta_up=0, delta_down=0)
+            uid=b"u0", pk=env.users[0][1].pk, infohash=env.meta.infohash, uids=(), receipts=(),
+            agg_sig=sc.AggregateSignature(b"\x00" * 96, 0), delta_up=0)
         assert not env.t.report(payload, NOW)
 
     def test_self_receipt_rejected(self, env):
@@ -250,18 +249,15 @@ class TestReport:
         assert rid not in env.t.recent
         assert not env.t.report(env.report_for(0, [(r, b"u1")]), later)
 
-    def test_delta_down_negative_rejected(self, env):
-        r = env.receipt(1, 0, 7)
-        payload = dataclasses.replace(env.report_for(0, [(r, b"u1")]), delta_down=-1)
-        assert not env.t.report(payload, NOW)
-
-    def test_reporter_declared_download_credited(self, env):
-        r = env.receipt(1, 0, 8)
-        payload = tr.build_report(b"u0", env.users[0][1].pk, env.meta,
-                                  [(r, b"u1")], env.t.epoch, delta_down=350)
-        assert env.t.report(payload, NOW)
-        rec = ct.sc_read(env.chain, env.t.addr, b"u0")
-        assert rec.down == 350
+    def test_reporter_download_unchanged(self, env):
+        # a report credits the reporter's upload only; its download grows
+        # through other peers' receipts
+        uid0, kp0 = env.users[0]
+        before = ct.sc_read(env.chain, env.t.addr, uid0)
+        assert env.t._write(uid0, kp0.pk, before.up, 350)
+        assert env.t.report(env.report_for(0, [(env.receipt(1, 0, 8), b"u1")]), NOW)
+        rec = ct.sc_read(env.chain, env.t.addr, uid0)
+        assert (rec.up, rec.down) == (before.up + 700, 350)
 
 
 class TestGc:
@@ -299,9 +295,9 @@ class TestSessionReport:
         cert, skp = at.open_session(kp1, env.meta.infohash, kp2.pk, NOW, env.t.epoch)
         sr = at.session_attest(skp.sk, cert, env.contents[0], 0, NOW, env.t.epoch)
         payload = tr.SessionReportPayload(
-            uid=uid0, pk=kp0.pk, peers=((kp1.pk, uid1),), meta=env.meta,
-            certs=(cert,), agg_sig=sc.aggregate([cert.sig]),
-            items=((0, sr),), delta_up=700, delta_down=0)
+            uid=uid0, pk=kp0.pk, infohash=env.meta.infohash,
+            sessions=((dataclasses.replace(cert, sig=b""), uid1, (sr,)),),
+            agg_sig=sc.aggregate([cert.sig]), delta_up=700)
         assert not env.t.report_session(payload, NOW)
 
 
@@ -447,11 +443,15 @@ def _epoch(epoch):
     third receipt."""
     def case(env, kind):
         p = make_report(env, kind)
-        field = "certs" if kind == "report_session" else "receipts"
+        if kind == "report_session":
+            sessions = list(p.sessions)
+            cert, uid, srs = sessions[1]
+            sessions[1] = (dataclasses.replace(cert, epoch=epoch), uid, srs)
+            return dataclasses.replace(p, sessions=tuple(sessions))
         i = 2 if kind == "report" else 1
-        items = list(getattr(p, field))
-        items[i] = dataclasses.replace(items[i], epoch=epoch)
-        return dataclasses.replace(p, **{field: tuple(items)})
+        receipts = list(p.receipts)
+        receipts[i] = dataclasses.replace(receipts[i], epoch=epoch)
+        return dataclasses.replace(p, receipts=tuple(receipts))
     return case
 
 
@@ -466,9 +466,8 @@ def _credited_through(shift):
 
 
 REFUSALS = {
-    "unknown_torrent": _with(meta=at.make_torrent("other", [sc.hash_data(b"q")], 700)),
+    "unknown_torrent": _with(infohash=at.make_torrent("other", [sc.hash_data(b"q")], 700).infohash),
     "reporter_uid_mismatch": _with(uid=b"u3"),
-    "negative_delta_down": _with(delta_down=-1),
     "delta_up_off_by_one": _with(delta_up=lambda p: p.delta_up + 1),
     "transfer_to_self": lambda env, kind: make_report(
         env, kind, (HONEST[0], tx(0, (3, 6)), HONEST[2])),
