@@ -19,12 +19,13 @@ Attestation policies trade signature count against verification cost:
 The first three issue one kind of long-term receipt: a signature over a
 Merkle root of position-bound piece digests, with one message
 (``pieces_msg``) and one check (``verify_receipt``).  A per-piece receipt is
-the batch of one, whose root is its one leaf.  Whatever kind carries a piece,
-its replay id is the same (``piece_ids``), so a piece is credited at most
-once inside the window.
+the batch of one, whose root is its one leaf; a tracker rebuilds the message
+(``signed_msg``) from its torrent, the reporter and a receipt's record.
+Whatever kind carries a piece, its replay id is the same (``piece_ids``), so
+a piece is credited at most once inside the window.
 
-A policy's rules (JSON name, signature count, coverage, scheme) live on its
-class; no other module tests a policy's type to learn them.
+A policy's rules (JSON name, signature count, coverage, scheme, batch size)
+live on its class; no other module tests a policy's type to learn them.
 """
 
 from __future__ import annotations
@@ -197,21 +198,18 @@ def receipt_msg(infohash: bytes, sender_pk: bytes, piece_hash: bytes, index: int
     return pieces_msg(infohash, sender_pk, ((index, piece_hash),), epoch)
 
 
-def signed_msg(r, meta: TorrentMeta | None):
-    """The message receipt *r*'s signature covers, or None when *r* is
-    malformed (no pieces, unsorted or repeated indices, an epoch that does
-    not fit 8 bytes) or, given *meta*, claims a piece the torrent does not
-    have."""
-    pieces = r.pieces
+def signed_msg(infohash: bytes, sender_pk: bytes, pieces, epoch: int,
+               meta: TorrentMeta | None):
+    """The message a long-term receipt over *pieces* signs, or None when the
+    claim is malformed (no pieces, unsorted or repeated indices, an epoch
+    that does not fit 8 bytes) or, given *meta*, names a piece the torrent
+    does not have.  The caller vouches for *infohash* and *sender_pk*."""
     indices = [i for i, _ in pieces]
-    if not pieces or indices != sorted(set(indices)) or not sc.fits_uint(r.epoch):
+    if not pieces or indices != sorted(set(indices)) or not sc.fits_uint(epoch):
         return None
-    if meta is not None:
-        if r.infohash != meta.infohash:
-            return None
-        if not all(piece_matches(meta, i, h) for i, h in pieces):
-            return None
-    return pieces_msg(r.infohash, r.sender_pk, pieces, r.epoch)
+    if meta is not None and not all(piece_matches(meta, i, h) for i, h in pieces):
+        return None
+    return pieces_msg(infohash, sender_pk, pieces, epoch)
 
 
 def attest(receiver: sc.KeyPair, infohash: bytes, sender_pk: bytes, piece: bytes,
@@ -219,7 +217,7 @@ def attest(receiver: sc.KeyPair, infohash: bytes, sender_pk: bytes, piece: bytes
     """Sign a receipt for a received piece at wall-clock time *t*."""
     r = Receipt(infohash, sender_pk, receiver.pk, sc.hash_data(piece), index,
                 epoch_of(t, params), b"")
-    return replace(r, sig=sc.sign(receiver.sk, signed_msg(r, None)))
+    return replace(r, sig=sc.sign(receiver.sk, pieces_msg(infohash, sender_pk, r.pieces, r.epoch)))
 
 
 def batch_attest(receiver: sc.KeyPair, infohash: bytes, sender_pk: bytes,
@@ -230,18 +228,20 @@ def batch_attest(receiver: sc.KeyPair, infohash: bytes, sender_pk: bytes,
     indices = tuple(sorted(pieces))
     br = BatchReceipt(infohash, sender_pk, receiver.pk, indices,
                       tuple(sc.hash_data(pieces[i]) for i in indices), epoch_of(t, params), b"")
-    return replace(br, sig=sc.sign(receiver.sk, signed_msg(br, None)))
+    return replace(br, sig=sc.sign(receiver.sk, pieces_msg(infohash, sender_pk, br.pieces, br.epoch)))
 
 
 def verify_receipt(r, meta: TorrentMeta | None, t_now: int,
                    params: EpochParams, skew: int = 0) -> bool:
-    """Check a long-term receipt of either shape.  With *meta* each piece
-    digest is bound to the torrent; without it only the signature and the
-    epoch window are checked."""
+    """Check a long-term receipt of either shape.  With *meta* the receipt's
+    torrent and each piece digest are bound to it; without it only the
+    signature and the epoch window are checked."""
     try:
         if not epoch_within_skew(r.epoch, epoch_of(t_now, params), params, skew):
             return False
-        msg = signed_msg(r, meta)
+        if meta is not None and r.infohash != meta.infohash:
+            return False
+        msg = signed_msg(r.infohash, r.sender_pk, r.pieces, r.epoch, meta)
         return msg is not None and sc.verify(r.receiver_pk, msg, r.sig)
     except Exception:
         return False
@@ -368,7 +368,9 @@ def verify_session_receipt(cert: SessionCert, sr: SessionReceipt, meta: TorrentM
 # tag, ``signatures(n)`` the long-term-equivalent signatures a downloader
 # issues for an n-piece torrent, ``covers(index, n)`` whether piece *index*
 # earns credit through a receipt, and ``session`` whether the per-piece
-# signatures use the cheap session scheme.  Every parameter is an integer.
+# signatures use the cheap session scheme.  A long-term policy's ``k`` is the
+# covered pieces per receipt, a class constant 1 but for batch.  Every
+# parameter is an integer.
 
 
 def _piece_count(n: int) -> int:
@@ -381,6 +383,7 @@ def _piece_count(n: int) -> int:
 class PerPiecePolicy:
     name: ClassVar[str] = "per-piece"
     session: ClassVar[bool] = False
+    k: ClassVar[int] = 1
 
     def signatures(self, n: int) -> int:
         return _piece_count(n)
@@ -396,6 +399,7 @@ class AdaptivePolicy:
 
     name: ClassVar[str] = "adaptive"
     session: ClassVar[bool] = False
+    k: ClassVar[int] = 1
     head: int = 100
     stride: int = 10
     tail: int = 100

@@ -81,8 +81,8 @@ def canonical_decode(blob: bytes):
 
 
 def fits_uint(n: int) -> bool:
-    """Whether ``enc_uint`` can encode n."""
-    return 0 <= n < 1 << 64
+    """Whether ``enc_uint`` can encode n: an int, not a bool or float, below 2^64."""
+    return type(n) is int and 0 <= n < 1 << 64
 
 
 def enc_uint(n: int) -> bytes:

@@ -12,8 +12,11 @@ unlimited upload capacity.  Piece contents are 32-byte stand-ins — the meta's
 piece_size/length govern timing and credit, the stand-ins feed the hashes
 that receipts bind to.
 
-Report sizes follow the aggregated wire layout: 32 bytes per covered piece
-hash plus one 96-byte aggregate signature, except session reports which
+Per-piece and adaptive receipts are batches of one: a receiver buffers each
+covered piece per sender and signs once it holds the policy's ``k`` pieces or
+its download ends.  Report sizes follow the aggregated wire layout, unchanged
+by the records reports carry so recorded digests hold: 32 bytes per covered
+piece hash plus one 96-byte aggregate signature, except session reports which
 carry one 64-byte signature per piece plus a 96-byte certificate signature
 per session.
 """
@@ -184,16 +187,7 @@ class SwarmSim:
         itself takes *dur* ms from now."""
         pol = self.sc.policy
         c = self.cost
-        if isinstance(pol, at.BatchPolicy):
-            # todo[0] is this piece.  The last one flushes every open buffer,
-            # the sender's (which this piece joins) exactly once.
-            spk = sender.kp.pk
-            if len(leecher.todo) == 1:
-                flushes = 1 + sum(1 for pk, b in leecher.batch_buf.items() if b and pk != spk)
-            else:
-                flushes = 1 if len(leecher.batch_buf.get(spk, ())) + 1 >= pol.k else 0
-            return flushes * (c.sign_ms + c.verify_ms)
-        if isinstance(pol, at.SessionPolicy):
+        if pol.session:
             # the key of the epoch the piece lands in; a cert's cost can only push
             # it into a later epoch, which has no key yet either
             charge = c.session_sign_ms + c.session_verify_ms
@@ -201,9 +195,16 @@ class SwarmSim:
             if (sender.kp.pk, epoch) not in leecher.session_keys:
                 charge += c.sign_ms + c.verify_ms  # certificate mint + check
             return charge
-        if pol.covers(index, self.meta.num_pieces):
-            return c.sign_ms + c.verify_ms
-        return 0.0
+        if not pol.covers(index, self.meta.num_pieces):
+            return 0.0
+        # todo[0] is this piece.  The last one flushes every open buffer, the
+        # sender's (which this piece joins) exactly once.
+        spk = sender.kp.pk
+        if len(leecher.todo) == 1:
+            flushes = 1 + sum(1 for pk, b in leecher.batch_buf.items() if b and pk != spk)
+        else:
+            flushes = 1 if len(leecher.batch_buf.get(spk, ())) + 1 >= pol.k else 0
+        return flushes * (c.sign_ms + c.verify_ms)
 
     def _schedule_next(self, leecher: PeerState):
         if not leecher.todo:
@@ -243,15 +244,7 @@ class SwarmSim:
         })
 
         content = self.contents[index]
-        if isinstance(pol, at.BatchPolicy):
-            buf = leecher.batch_buf.setdefault(sender.kp.pk, {})
-            buf[index] = content
-            if len(buf) >= pol.k:
-                self._flush_batch_buf(leecher, sender.kp.pk, t_s)
-            if not leecher.todo:  # the final piece flushes every open buffer
-                for spk in list(leecher.batch_buf):
-                    self._flush_batch_buf(leecher, spk, t_s)
-        elif isinstance(pol, at.SessionPolicy):
+        if pol.session:
             epoch = at.epoch_of(t_s, self.ep)
             key = (sender.kp.pk, epoch)
             if key not in leecher.session_keys:
@@ -274,18 +267,16 @@ class SwarmSim:
             pending[2].append(sr)
             self.counts["receipts"] += 1
         elif covered:
-            r = at.attest(leecher.kp, self.meta.infohash, sender.kp.pk,
-                          content, index, t_s, self.ep)
-            self.ops["sign"] += 1
-            if not at.verify_receipt(r, self.meta, t_s, self.ep, skew=1):
-                raise AssertionError("honest receipt failed verification")
-            self.ops["verify"] += 1
-            sender.pending_receipts.append((r, leecher.uid))
-            self.counts["receipts"] += 1
+            buf = leecher.batch_buf.setdefault(sender.kp.pk, {})
+            buf[index] = content
+            if len(buf) >= pol.k:
+                self._flush_batch_buf(leecher, sender.kp.pk, t_s)
 
         if leecher.todo:
             self._schedule_next(leecher)
         else:
+            for spk in list(leecher.batch_buf):  # the final piece flushes every open buffer
+                self._flush_batch_buf(leecher, spk, t_s)
             leecher.done = True
             self._announce(leecher, "completed")
 
@@ -318,10 +309,10 @@ class SwarmSim:
     def _submit(self, payload, t_s: int) -> bool:
         if isinstance(payload, tr.ReportPayload):
             ok = self.tracker.report(payload, t_s)
-            nbytes = 32 * sum(len(r.pieces) for r in payload.receipts) + 96
+            nbytes = 32 * sum(len(pieces) for *_, pieces in payload.receipts) + 96
         else:
             ok = self.tracker.report_session(payload, t_s)
-            nbytes = sum(64 * len(srs) + 96 for _, _, srs in payload.sessions)
+            nbytes = sum(64 * len(srs) + 96 for *_, srs in payload.sessions)
         self.ops["agg_verify"] += 1
         if ok:
             self.counts["reports_ok"] += 1

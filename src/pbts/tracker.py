@@ -11,11 +11,11 @@ so a piece credited through either cannot be credited again inside the
 window, and a report overlapping a credited piece is refused whole.
 
 A report carries each fact once: the reporter's uid and key, the torrent's
-infohash (the tracker holds the metadata), each downloader's uid beside its
-receipt or cert (whose signed fields name the downloader's key), the receipts
-or certs without their signatures, the one aggregate that replaces those,
-and the upload claimed.  Nobody reports their own download: it grows only
-when another peer's receipts credit it.
+infohash, per receipt or cert a record of what its signature does not take
+from the report (downloader uid and key, epoch, pieces or session key), the
+one aggregate that replaces the signatures, and the upload claimed.  The
+tracker rebuilds each signed message from its torrent and the reporter's
+key.  Nobody reports their own download: others' receipts credit it.
 
 Migration spins up a successor instance whose contract names the old one as
 referrer, so one previous generation of records stays readable.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import attestation as at
@@ -97,8 +97,7 @@ class ReportPayload:
     uid: bytes
     pk: bytes
     infohash: bytes
-    uids: tuple           # the downloader's uid per receipt
-    receipts: tuple       # Receipt or BatchReceipt, each without its signature
+    receipts: tuple       # (downloader uid, downloader pk, epoch, ((index, piece hash), ...))
     agg_sig: sc.AggregateSignature
     delta_up: int         # the upload claimed, which the receipts must add up to
 
@@ -108,7 +107,7 @@ class SessionReportPayload:
     uid: bytes
     pk: bytes
     infohash: bytes
-    sessions: tuple       # (cert without its signature, downloader uid, (SessionReceipt, ...))
+    sessions: tuple       # (downloader uid, pk, session pk, cert epoch, (SessionReceipt, ...))
     agg_sig: sc.AggregateSignature
     delta_up: int
 
@@ -116,20 +115,19 @@ class SessionReportPayload:
 def build_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, entries,
                  _params=None) -> ReportPayload:
     """Assemble a report from (long-term receipt, downloader uid) pairs the
-    reporter collected while seeding; a receipt may cover one piece or many.
-    The aggregate signature replaces the individual receipt signatures on the
-    wire.  *_params* is unused; callers may pass the epoch parameters there."""
-    uids, receipts, sigs = [], [], []
+    reporter collected while seeding; each receipt, of one piece or many,
+    travels as its record and the aggregate replaces their signatures.
+    *_params* is unused; callers may pass the epoch parameters there."""
+    records, sigs = [], []
     total = 0
     for r, peer_uid in entries:
         if r.sender_pk != pk or r.infohash != meta.infohash:
             raise ValueError("receipt does not belong to this reporter/torrent")
-        uids.append(peer_uid)
-        receipts.append(replace(r, sig=b""))
+        records.append((peer_uid, r.receiver_pk, r.epoch, r.pieces))
         sigs.append(r.sig)
         total += sum(at.piece_len(meta, j) for j, _ in r.pieces)
-    return ReportPayload(uid=uid, pk=pk, infohash=meta.infohash, uids=tuple(uids),
-                         receipts=tuple(receipts), agg_sig=sc.aggregate(sigs), delta_up=total)
+    return ReportPayload(uid=uid, pk=pk, infohash=meta.infohash, receipts=tuple(records),
+                         agg_sig=sc.aggregate(sigs), delta_up=total)
 
 
 def build_batch_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, entries) -> ReportPayload:
@@ -139,13 +137,13 @@ def build_batch_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, entries) -> 
 def build_session_report(uid: bytes, pk: bytes, meta: at.TorrentMeta,
                          sessions) -> SessionReportPayload:
     """*sessions* is an iterable of (cert, downloader uid, [session receipts]).
-    The aggregate signature replaces the cert signatures on the wire."""
+    Each cert travels as its record; the aggregate replaces their signatures."""
     out, sigs = [], []
     total = 0
     for cert, peer_uid, srs in sessions:
         if cert.sender_pk != pk or cert.infohash != meta.infohash:
             raise ValueError("cert does not belong to this reporter/torrent")
-        out.append((replace(cert, sig=b""), peer_uid, tuple(srs)))
+        out.append((peer_uid, cert.receiver_pk, cert.session_pk, cert.epoch, tuple(srs)))
         sigs.append(cert.sig)
         total += sum(at.piece_len(meta, sr.index) for sr in srs)
     return SessionReportPayload(uid=uid, pk=pk, infohash=meta.infohash, sessions=tuple(out),
@@ -274,41 +272,44 @@ class Tracker:
 
         A kind's *expand(p, meta, now)* says only what differs: None when a
         binding of its own fails, else (claims, pairs, item_sigs).  Claims
-        are (downloader pk, uid, epoch, pieces) in payload order, pieces
+        are (downloader uid, pk, epoch, pieces) in payload order, pieces
         being ((index, piece hash), ...) already matched against the
         torrent; one with no pieces credits nothing but is checked all the
         same.  Each piece has one replay id whatever kind carries it, and a
         report naming an id already spent is refused whole.  The aggregate
         must cover *pairs*; item_sigs yields the outcome of each signature
         the aggregate does not cover."""
-        meta = self.torrents.get(p.infohash)
-        reporter = self._resolve(p.pk, p.uid)
-        if meta is None or reporter is None:
-            return False
-        expanded = expand(p, meta, now)
-        if expanded is None:
-            return False
-        claims, pairs, item_sigs = expanded
-        now_epoch = at.epoch_of(now, self.epoch)
-        resolved, rids, credits = {}, [], {}  # credits: uid -> bytes, first seen first
-        for pk_j, uid_j, e_j, pieces in claims:
-            if pk_j == p.pk:
-                return False  # no credit for transfers to oneself
-            if not at.epoch_within_skew(e_j, now_epoch, self.epoch):
+        try:
+            meta = self.torrents.get(p.infohash)
+            reporter = self._resolve(p.pk, p.uid)
+            if meta is None or reporter is None:
                 return False
-            if (pk_j, uid_j) not in resolved:
-                resolved[pk_j, uid_j] = self._resolve(pk_j, uid_j)
-                if resolved[pk_j, uid_j] is None:
+            expanded = expand(p, meta, now)
+            if expanded is None:
+                return False
+            claims, pairs, item_sigs = expanded
+            now_epoch = at.epoch_of(now, self.epoch)
+            resolved, rids, credits = {}, [], {}  # credits: uid -> bytes, first seen first
+            for uid_j, pk_j, e_j, pieces in claims:
+                if pk_j == p.pk:
+                    return False  # no credit for transfers to oneself
+                if not at.epoch_within_skew(e_j, now_epoch, self.epoch):
                     return False
-            if pieces:
-                rids += at.piece_ids(meta.infohash, p.pk, pk_j, pieces, e_j)
-                credits[uid_j] = credits.get(uid_j, 0) + sum(at.piece_len(meta, j) for j, _ in pieces)
-        if not rids or len(set(rids)) != len(rids) or any(r in self.recent for r in rids):
-            return False
-        if p.delta_up != sum(credits.values()):
-            return False
-        if not sc.aggregate_verify(pairs, p.agg_sig) or not all(item_sigs):
-            return False
+                if (pk_j, uid_j) not in resolved:
+                    resolved[pk_j, uid_j] = self._resolve(pk_j, uid_j)
+                    if resolved[pk_j, uid_j] is None:
+                        return False
+                if pieces:
+                    rids += at.piece_ids(meta.infohash, p.pk, pk_j, pieces, e_j)
+                    credits[uid_j] = credits.get(uid_j, 0) + sum(at.piece_len(meta, j) for j, _ in pieces)
+            if not rids or len(set(rids)) != len(rids) or any(r in self.recent for r in rids):
+                return False
+            if p.delta_up != sum(credits.values()):
+                return False
+            if not sc.aggregate_verify(pairs, p.agg_sig) or not all(item_sigs):
+                return False
+        except (AttributeError, TypeError, ValueError):
+            return False  # a peer-fed field of the wrong type or shape
         records = {uid: rec for (_, uid), rec in resolved.items()}
         if not self._write(p.uid, reporter.pk, reporter.up + p.delta_up, reporter.down,
                            *((u, records[u].pk, records[u].up, records[u].down + size)
@@ -318,35 +319,34 @@ class Tracker:
         return True
 
     def _receipt_claims(self, p: ReportPayload, meta: at.TorrentMeta, now: int):
-        """One claim per long-term receipt, of either shape."""
-        if len(p.uids) != len(p.receipts):
-            return None
-        claims, pairs = [], []
-        for r, uid_j in zip(p.receipts, p.uids):
-            msg = at.signed_msg(r, meta) if r.sender_pk == p.pk else None
+        """Each record is its own claim; the message its downloader signed is
+        rebuilt from the torrent and the reporter's key."""
+        pairs = []
+        for _, pk_j, e_j, pieces in p.receipts:
+            msg = at.signed_msg(meta.infohash, p.pk, pieces, e_j, meta)
             if msg is None:
                 return None
-            claims.append((r.receiver_pk, uid_j, r.epoch, r.pieces))
-            pairs.append((r.receiver_pk, msg))
-        return claims, pairs, ()
+            pairs.append((pk_j, msg))
+        return p.receipts, pairs, ()
 
     def _session_claims(self, p: SessionReportPayload, meta: at.TorrentMeta, now: int):
         """One claim per session receipt, then one per cert for the cert's
         own epoch and downloader: a cert is checked even when no receipt uses it.
-        The aggregate covers the certs; each receipt carries its own session
-        signature."""
-        claims = []
-        for c, uid_j, srs in p.sessions:
-            if c.sender_pk != p.pk or c.infohash != meta.infohash or not sc.fits_uint(c.epoch):
+        The aggregate covers the certs, rebuilt from the torrent and the
+        reporter's key; each receipt carries its own session signature."""
+        claims, certs = [], []
+        for uid_j, pk_j, session_pk, epoch, srs in p.sessions:
+            if not sc.fits_uint(epoch):
                 return None
+            certs.append((at.SessionCert(meta.infohash, p.pk, pk_j, session_pk, epoch, b""), srs))
             for sr in srs:
                 if not at.piece_matches(meta, sr.index, sr.piece_hash):
                     return None
-                claims.append((c.receiver_pk, uid_j, sr.epoch, ((sr.index, sr.piece_hash),)))
-        claims += [(c.receiver_pk, uid_j, c.epoch, ()) for c, uid_j, _ in p.sessions]
-        pairs = [(c.receiver_pk, at.cert_msg(c)) for c, _, _ in p.sessions]
+                claims.append((uid_j, pk_j, sr.epoch, ((sr.index, sr.piece_hash),)))
+        claims += [(uid_j, pk_j, epoch, ()) for uid_j, pk_j, _, epoch, _ in p.sessions]
+        pairs = [(c.receiver_pk, at.cert_msg(c)) for c, _ in certs]
         item_sigs = (at.verify_session_receipt(c, sr, meta, now, self.epoch)
-                     for c, _, srs in p.sessions for sr in srs)
+                     for c, srs in certs for sr in srs)
         return claims, pairs, item_sigs
 
     def gc_recent(self, now: int) -> int:

@@ -157,6 +157,10 @@ class TestReceipts:
         r = self.attest()
         other, _ = make_meta(name="other")
         assert not at.verify_receipt(r, other, self.now, EP)
+        # the same pieces under another name: only the infohash tells them apart
+        twin = at.make_torrent("twin", self.meta.piece_hashes, self.meta.piece_size,
+                               self.meta.length)
+        assert not at.verify_receipt(r, twin, self.now, EP)
 
     def test_piece_ids_distinguish(self):
         def ids(r):
@@ -180,11 +184,18 @@ class TestReceipts:
         r = self.attest(i=3)
         br = at.batch_attest(self.recv, self.meta.infohash, self.send.pk,
                              {3: self.contents[3]}, self.now, EP)
-        assert at.signed_msg(r, self.meta) == at.signed_msg(br, self.meta) is not None
+
+        def msg(x):
+            return at.signed_msg(x.infohash, x.sender_pk, x.pieces, x.epoch, self.meta)
+
+        assert msg(r) == msg(br) is not None
         assert r.sig == br.sig
         assert r.pieces == br.pieces == ((3, self.meta.piece_hashes[3]),)
         assert at.piece_ids(r.infohash, r.sender_pk, r.receiver_pk, r.pieces, r.epoch) == \
             at.piece_ids(br.infohash, br.sender_pk, br.receiver_pk, br.pieces, br.epoch)
+        # so a report carries either one as the same record
+        assert tr.build_report(b"s", self.send.pk, self.meta, [(r, b"r")]) == \
+            tr.build_report(b"s", self.send.pk, self.meta, [(br, b"r")])
 
     def test_signed_message_atoms_are_distinct(self):
         """Every signed message opens with its own atom, so none can be

@@ -209,10 +209,10 @@ class TestReport:
         assert not env.t.report(wrong_uid, NOW)
 
         other_meta = at.make_torrent("other", [sc.hash_data(b"q")], 700)
-        r_other = dataclasses.replace(r1, infohash=other_meta.infohash)
         foreign = tr.ReportPayload(  # torrent the tracker never indexed
-            uid=b"u0", pk=env.users[0][1].pk, infohash=other_meta.infohash, uids=(b"u1",),
-            receipts=(r_other,), agg_sig=sc.aggregate([r_other.sig]), delta_up=700)
+            uid=b"u0", pk=env.users[0][1].pk, infohash=other_meta.infohash,
+            receipts=((b"u1", r1.receiver_pk, r1.epoch, r1.pieces),),
+            agg_sig=sc.aggregate([r1.sig]), delta_up=700)
         assert not env.t.report(foreign, NOW)
 
         stale = env.report_for(0, [(env.receipt(1, 0, 4, t=NOW - 3 * W), b"u1")])
@@ -222,7 +222,7 @@ class TestReport:
 
     def test_empty_report_rejected(self, env):
         payload = tr.ReportPayload(
-            uid=b"u0", pk=env.users[0][1].pk, infohash=env.meta.infohash, uids=(), receipts=(),
+            uid=b"u0", pk=env.users[0][1].pk, infohash=env.meta.infohash, receipts=(),
             agg_sig=sc.AggregateSignature(b"\x00" * 96, 0), delta_up=0)
         assert not env.t.report(payload, NOW)
 
@@ -294,9 +294,10 @@ class TestSessionReport:
         _, kp2 = env.users[2]
         cert, skp = at.open_session(kp1, env.meta.infohash, kp2.pk, NOW, env.t.epoch)
         sr = at.session_attest(skp.sk, cert, env.contents[0], 0, NOW, env.t.epoch)
+        # u1 certified a session with u2; u0 reports it as its own
         payload = tr.SessionReportPayload(
             uid=uid0, pk=kp0.pk, infohash=env.meta.infohash,
-            sessions=((dataclasses.replace(cert, sig=b""), uid1, (sr,)),),
+            sessions=((uid1, kp1.pk, cert.session_pk, cert.epoch, (sr,)),),
             agg_sig=sc.aggregate([cert.sig]), delta_up=700)
         assert not env.t.report_session(payload, NOW)
 
@@ -437,22 +438,55 @@ def _with(**change):
     return case
 
 
-def _epoch(epoch):
-    """The honest report with the middle transfer claiming *epoch*, which no
-    signed message can encode; its first piece is the per-piece report's
-    third receipt."""
+def _records(edit):
+    """The honest report with its records replaced by edit(records, i), i
+    being the middle transfer's first record: the per-piece report's third
+    receipt, the other kinds' second record.  A receipt's record is (uid,
+    pk, epoch, pieces), a session's (uid, pk, session pk, epoch, receipts)."""
     def case(env, kind):
         p = make_report(env, kind)
-        if kind == "report_session":
-            sessions = list(p.sessions)
-            cert, uid, srs = sessions[1]
-            sessions[1] = (dataclasses.replace(cert, epoch=epoch), uid, srs)
-            return dataclasses.replace(p, sessions=tuple(sessions))
-        i = 2 if kind == "report" else 1
-        receipts = list(p.receipts)
-        receipts[i] = dataclasses.replace(receipts[i], epoch=epoch)
-        return dataclasses.replace(p, receipts=tuple(receipts))
+        field = "sessions" if kind == "report_session" else "receipts"
+        return dataclasses.replace(
+            p, **{field: edit(list(getattr(p, field)), 2 if kind == "report" else 1)})
     return case
+
+
+def _middle(edit):
+    """The honest report with the middle transfer's first record replaced by
+    edit(record)."""
+    def records(rs, i):
+        rs[i] = edit(rs[i])
+        return tuple(rs)
+    return _records(records)
+
+
+def _epoch(epoch):
+    """The honest report with the middle transfer claiming *epoch*, which no
+    signed message can encode."""
+    return _middle(lambda r: r[:-2] + (epoch, r[-1]))
+
+
+def _first_piece(edit):
+    """The honest report with the middle transfer's first piece, an (index,
+    piece hash) pair or a session receipt, replaced by edit(piece)."""
+    return _middle(lambda r: r[:-1] + ((edit(r[-1][0]),) + r[-1][1:],))
+
+
+def _first_index(index):
+    """The honest report with the middle transfer's first piece at *index*."""
+    def edit(piece):
+        if isinstance(piece, at.SessionReceipt):
+            return dataclasses.replace(piece, index=index)
+        return (index, piece[1])
+    return _first_piece(edit)
+
+
+def _another_reporter(env, kind):
+    """The honest report resubmitted by u4, registered but the sender of
+    none of it: the aggregate over messages rebuilt with u4's key fails."""
+    env.join()
+    uid4, kp4 = env.users[4]
+    return dataclasses.replace(make_report(env, kind), uid=uid4, pk=kp4.pk)
 
 
 def _credited_through(shift):
@@ -484,6 +518,18 @@ REFUSALS = {
         env, kind, (HONEST[0], tx(2, (3, 6), garbled=True), HONEST[2])),
     "epoch_negative": _epoch(-1),
     "epoch_not_encodable": _epoch(1 << 64),
+    "receipts_of_another_reporter": _another_reporter,
+    # peer-fed fields of the wrong type or shape
+    "epoch_float": _epoch(6.0),
+    "piece_index_str": _first_index("3"),
+    "piece_index_float": _first_index(3.0),
+    "record_none": _middle(lambda r: None),
+    "piece_none": _first_piece(lambda piece: None),
+    "records_none": _records(lambda rs, i: None),
+    "downloader_uid_list": _middle(lambda r: ([r[0]],) + r[1:]),
+    "reporter_uid_list": _with(uid=lambda p: [p.uid]),
+    "infohash_list": _with(infohash=lambda p: list(p.infohash)),
+    "delta_up_float": _with(delta_up=lambda p: float(p.delta_up)),
     "piece_credited_through_next_kind": _credited_through(1),
     "piece_credited_through_previous_kind": _credited_through(2),
 }
