@@ -18,9 +18,9 @@ Attestation policies trade signature count against verification cost:
 
 The first three issue one kind of long-term receipt: a signature over a
 Merkle root of position-bound piece digests, with one message
-(``pieces_msg``) and one check (``verify_receipt``).  A per-piece receipt is
-the batch of one, whose root is its one leaf; a tracker rebuilds the message
-(``signed_msg``) from its torrent, the reporter and a receipt's record.
+(``pieces_msg``) and one per-receipt check (``verify_receipt``).  A per-piece
+receipt is the batch of one, whose root is its one leaf; whoever checks a
+report rebuilds the message (``signed_msg``) from torrent, reporter and record.
 Whatever kind carries a piece, its replay id is the same (``piece_ids``), so
 a piece is credited at most once inside the window.
 

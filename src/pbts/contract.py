@@ -88,7 +88,6 @@ class Contract:
 class Chain:
     allowlist: set
     hw_root_pk: bytes
-    path: str | None = None
     contracts: dict = field(default_factory=dict)
     nonce: int = 0  # factory deployment counter
     _seq: int = 0
@@ -155,7 +154,7 @@ def _append_log(chain: Chain, op: str, addr: bytes, payload: bytes, auth: AuthTo
 
 def chain_new(allowlist, hw_root_pk: bytes, path: str | None = None) -> Chain:
     """Fresh chain, or one replayed from an existing log file at *path*."""
-    chain = Chain(allowlist=set(allowlist), hw_root_pk=bytes(hw_root_pk), path=path)
+    chain = Chain(allowlist=set(allowlist), hw_root_pk=bytes(hw_root_pk))
     if path is not None and os.path.exists(path) and os.path.getsize(path) > 0:
         _replay(chain, path)
     if path is not None:

@@ -115,9 +115,9 @@ class SessionReportPayload:
 def build_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, entries,
                  _params=None) -> ReportPayload:
     """Assemble a report from (long-term receipt, downloader uid) pairs the
-    reporter collected while seeding; each receipt, of one piece or many,
-    travels as its record and the aggregate replaces their signatures.
-    *_params* is unused; callers may pass the epoch parameters there."""
+    reporter collected while seeding: a record per receipt, and one aggregate
+    for their signatures.  Pieces are the aggregate check's to judge; one the
+    torrent lacks counts no bytes.  *_params* is unused (epoch parameters)."""
     records, sigs = [], []
     total = 0
     for r, peer_uid in entries:
@@ -125,7 +125,7 @@ def build_report(uid: bytes, pk: bytes, meta: at.TorrentMeta, entries,
             raise ValueError("receipt does not belong to this reporter/torrent")
         records.append((peer_uid, r.receiver_pk, r.epoch, r.pieces))
         sigs.append(r.sig)
-        total += sum(at.piece_len(meta, j) for j, _ in r.pieces)
+        total += sum(at.piece_len(meta, j) for j, _ in r.pieces if 0 <= j < meta.num_pieces)
     return ReportPayload(uid=uid, pk=pk, infohash=meta.infohash, receipts=tuple(records),
                          agg_sig=sc.aggregate(sigs), delta_up=total)
 
@@ -148,6 +148,18 @@ def build_session_report(uid: bytes, pk: bytes, meta: at.TorrentMeta,
         total += sum(at.piece_len(meta, sr.index) for sr in srs)
     return SessionReportPayload(uid=uid, pk=pk, infohash=meta.infohash, sessions=tuple(out),
                                 agg_sig=sc.aggregate(sigs), delta_up=total)
+
+
+def receipt_pairs(p: ReportPayload, meta: at.TorrentMeta):
+    """The (downloader pk, signed message) pair of each record of *p*, rebuilt
+    from the torrent and the reporter's key; None if a record names no message."""
+    pairs = []
+    for _, pk_j, e_j, pieces in p.receipts:
+        msg = at.signed_msg(meta.infohash, p.pk, pieces, e_j, meta)
+        if msg is None:
+            return None
+        pairs.append((pk_j, msg))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +331,9 @@ class Tracker:
         return True
 
     def _receipt_claims(self, p: ReportPayload, meta: at.TorrentMeta, now: int):
-        """Each record is its own claim; the message its downloader signed is
-        rebuilt from the torrent and the reporter's key."""
-        pairs = []
-        for _, pk_j, e_j, pieces in p.receipts:
-            msg = at.signed_msg(meta.infohash, p.pk, pieces, e_j, meta)
-            if msg is None:
-                return None
-            pairs.append((pk_j, msg))
-        return p.receipts, pairs, ()
+        """Each record is its own claim, and its pair is ``receipt_pairs``'."""
+        pairs = receipt_pairs(p, meta)
+        return None if pairs is None else (p.receipts, pairs, ())
 
     def _session_claims(self, p: SessionReportPayload, meta: at.TorrentMeta, now: int):
         """One claim per session receipt, then one per cert for the cert's

@@ -24,10 +24,16 @@ def make_owner(world):
 
 
 @pytest.fixture()
-def env(tmp_path):
+def log_path(tmp_path):
+    """The chain log that *env*'s chain appends to."""
+    return str(tmp_path / "chain.log")
+
+
+@pytest.fixture()
+def env(log_path):
     world = encl.world_new(seed=77)
     world.allowlist.add(encl.measure(PROG, CFG))
-    chain = ct.chain_new(world.allowlist, world.hw_root_pk, path=str(tmp_path / "chain.log"))
+    chain = ct.chain_new(world.allowlist, world.hw_root_pk, path=log_path)
     auth_kp, quote = make_owner(world)
     yield world, chain, auth_kp, quote
     chain.close()
@@ -143,8 +149,8 @@ class TestAuth:
         assert not ct.sc_write(chain, addr, [(b"u", b"pk", 1)], token)
 
 
-def log_bytes(chain):
-    with open(chain.path, "rb") as fh:
+def log_bytes(path):
+    with open(path, "rb") as fh:
         return fh.read()
 
 
@@ -158,13 +164,13 @@ class TestAtomicWrite:
         "repeated_uid": (b"u0", b"pk-0", 7, 7),
     }
 
-    def test_every_record_lands_in_one_entry(self, env):
+    def test_every_record_lands_in_one_entry(self, env, log_path):
         _, chain, auth_kp, quote = env
         addr = deploy(chain, auth_kp, quote)
         assert write(chain, addr, auth_kp, quote, *self.GOOD)
         recs = [ct.sc_read(chain, addr, uid) for uid, *_ in self.GOOD]
         assert [(r.uid, r.pk, r.up, r.down) for r in recs] == self.GOOD
-        assert [e["op"] for e in ct.read_log(chain.path)] == ["init", "write"]
+        assert [e["op"] for e in ct.read_log(log_path)] == ["init", "write"]
 
     def test_single_record_payload_unchanged(self, env):
         # the one-record write encodes as it always has, so old logs replay
@@ -175,40 +181,40 @@ class TestAtomicWrite:
             (sc.TAG_UINT, sc.enc_uint(4))])
 
     @pytest.mark.parametrize("bad", sorted(BAD))
-    def test_one_bad_record_refuses_the_whole_write(self, env, bad):
+    def test_one_bad_record_refuses_the_whole_write(self, env, log_path, bad):
         # the token covers the good records, or all of them where they encode
         _, chain, auth_kp, quote = env
         addr = deploy(chain, auth_kp, quote)
-        state, log = ct.serialize_state(chain), log_bytes(chain)
+        state, log = ct.serialize_state(chain), log_bytes(log_path)
         records = self.GOOD + [self.BAD[bad]]
         try:
             payload = ct._write_payload(addr, records)
         except (TypeError, ValueError):
             payload = ct._write_payload(addr, self.GOOD)
         assert not ct.sc_write(chain, addr, records, ct.make_auth(quote, auth_kp.sk, payload))
-        assert ct.serialize_state(chain) == state and log_bytes(chain) == log
+        assert ct.serialize_state(chain) == state and log_bytes(log_path) == log
 
-    def test_empty_write_refused(self, env):
+    def test_empty_write_refused(self, env, log_path):
         _, chain, auth_kp, quote = env
         addr = deploy(chain, auth_kp, quote)
-        state, log = ct.serialize_state(chain), log_bytes(chain)
+        state, log = ct.serialize_state(chain), log_bytes(log_path)
         assert not write(chain, addr, auth_kp, quote)
-        assert ct.serialize_state(chain) == state and log_bytes(chain) == log
+        assert ct.serialize_state(chain) == state and log_bytes(log_path) == log
 
-    def test_wrong_auth_refuses_every_record(self, env):
+    def test_wrong_auth_refuses_every_record(self, env, log_path):
         _, chain, auth_kp, quote = env
         addr = deploy(chain, auth_kp, quote)
-        state, log = ct.serialize_state(chain), log_bytes(chain)
+        state, log = ct.serialize_state(chain), log_bytes(log_path)
         rogue = sc.session_keygen(b"\x16" * 32)
         payload = ct._write_payload(addr, self.GOOD)
         assert not ct.sc_write(chain, addr, self.GOOD, ct.make_auth(quote, rogue.sk, payload))
         # nor does a token for one record carry the other
         one = ct.make_auth(quote, auth_kp.sk, ct._write_payload(addr, self.GOOD[:1]))
         assert not ct.sc_write(chain, addr, self.GOOD, one)
-        assert ct.serialize_state(chain) == state and log_bytes(chain) == log
+        assert ct.serialize_state(chain) == state and log_bytes(log_path) == log
 
     @pytest.mark.parametrize("n_fields", [2, 3, 5, 7, 9])
-    def test_write_entry_of_partial_records_is_corrupt(self, env, n_fields):
+    def test_write_entry_of_partial_records_is_corrupt(self, env, log_path, n_fields):
         world, chain, auth_kp, quote = env
         addr = deploy(chain, auth_kp, quote)
         assert write(chain, addr, auth_kp, quote, *self.GOOD)
@@ -216,10 +222,10 @@ class TestAtomicWrite:
         fields = sc.canonical_decode(ct._write_payload(addr, self.GOOD))[:n_fields]
         entry = {"seq": 3, "op": "write", "addr": addr.hex(),
                  "payload": sc.canonical_encode(fields).hex(), "auth_fp": "00"}
-        with open(chain.path, "a") as fh:
+        with open(log_path, "a") as fh:
             fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
         with pytest.raises(ct.ChainLogCorrupt) as exc:
-            ct.chain_new(world.allowlist, world.hw_root_pk, path=chain.path)
+            ct.chain_new(world.allowlist, world.hw_root_pk, path=log_path)
         assert exc.value.seq == 3
 
 
@@ -239,12 +245,12 @@ class TestPersistence:
                      rng.randrange(1000)) for u in uids))
         return addrs
 
-    def test_reload_is_byte_identical(self, env, tmp_path):
+    def test_reload_is_byte_identical(self, env, log_path):
         world, chain, auth_kp, quote = env
         self.populate(chain, auth_kp, quote)
         before = ct.serialize_state(chain)
         chain.close()
-        reloaded = ct.chain_new(world.allowlist, world.hw_root_pk, path=chain.path)
+        reloaded = ct.chain_new(world.allowlist, world.hw_root_pk, path=log_path)
         assert ct.serialize_state(reloaded) == before
         assert ct.state_digest(reloaded) == sc.hash_data(before)
         # and the reloaded chain keeps accepting writes
@@ -252,53 +258,53 @@ class TestPersistence:
         assert write(reloaded, addr, auth_kp, quote, (b"post-reload", b"pk", 1, 2))
         reloaded.close()
 
-    def test_truncation_detected_at_exact_entry(self, env):
+    def test_truncation_detected_at_exact_entry(self, env, log_path):
         world, chain, auth_kp, quote = env
         self.populate(chain, auth_kp, quote, ops=20)
         chain.close()
-        with open(chain.path, "rb") as fh:
+        with open(log_path, "rb") as fh:
             lines = fh.readlines()
         cut = len(lines) // 2
-        with open(chain.path, "wb") as fh:
+        with open(log_path, "wb") as fh:
             fh.writelines(lines[:cut])
             fh.write(lines[cut][: len(lines[cut]) // 2])  # half an entry
         with pytest.raises(ct.ChainLogCorrupt) as exc:
-            ct.chain_new(world.allowlist, world.hw_root_pk, path=chain.path)
+            ct.chain_new(world.allowlist, world.hw_root_pk, path=log_path)
         assert exc.value.seq == cut + 1
         with pytest.raises(ct.ChainLogCorrupt) as exc:
-            ct.read_log(chain.path)
+            ct.read_log(log_path)
         assert exc.value.seq == cut + 1
 
-    def test_seq_gap_detected(self, env):
+    def test_seq_gap_detected(self, env, log_path):
         world, chain, auth_kp, quote = env
         self.populate(chain, auth_kp, quote, ops=10)
         chain.close()
-        with open(chain.path) as fh:
+        with open(log_path) as fh:
             entries = [json.loads(line) for line in fh]
         entries[4]["seq"] = 99
-        with open(chain.path, "w") as fh:
+        with open(log_path, "w") as fh:
             for e in entries:
                 fh.write(json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n")
         with pytest.raises(ct.ChainLogCorrupt) as exc:
-            ct.chain_new(world.allowlist, world.hw_root_pk, path=chain.path)
+            ct.chain_new(world.allowlist, world.hw_root_pk, path=log_path)
         assert exc.value.seq == 5
 
-    def test_garbage_line_detected(self, env):
+    def test_garbage_line_detected(self, env, log_path):
         world, chain, auth_kp, quote = env
         deploy(chain, auth_kp, quote)
         chain.close()
-        with open(chain.path, "a") as fh:
+        with open(log_path, "a") as fh:
             fh.write("not json at all\n")
         with pytest.raises(ct.ChainLogCorrupt) as exc:
-            ct.chain_new(world.allowlist, world.hw_root_pk, path=chain.path)
+            ct.chain_new(world.allowlist, world.hw_root_pk, path=log_path)
         assert exc.value.seq == 2
 
-    def test_read_log_structure(self, env):
+    def test_read_log_structure(self, env, log_path):
         _, chain, auth_kp, quote = env
         addr = deploy(chain, auth_kp, quote)
         write(chain, addr, auth_kp, quote, (b"u", b"pk", 3, 4))
         chain.close()
-        entries = ct.read_log(chain.path)
+        entries = ct.read_log(log_path)
         assert [e["seq"] for e in entries] == [1, 2]
         assert entries[0]["op"] == "init" and entries[1]["op"] == "write"
         assert entries[0]["addr"] == addr.hex()

@@ -350,6 +350,112 @@ class TestDeterminism:
         assert a.metrics_bytes != b.metrics_bytes
 
 
+def _hash_changed(pending, meta):
+    r, uid = pending[0]
+    pending[0] = (dataclasses.replace(
+        r, piece_hashes=r.piece_hashes[:-1] + (bytes(32),)), uid)  # hashes no piece
+    return True
+
+
+def _index_out_of_torrent(pending, meta):
+    r, uid = pending[0]
+    pending[0] = (dataclasses.replace(r, indices=r.indices[:-1] + (meta.num_pieces,)), uid)
+    return True
+
+
+def _two_unlike(pending):
+    """Indices of two records with different receivers and different signed
+    messages, or None."""
+    for a, (ra, _) in enumerate(pending):
+        for b, (rb, _) in enumerate(pending[a + 1:], a + 1):
+            if ra.receiver_pk != rb.receiver_pk and (ra.pieces, ra.epoch) != (rb.pieces, rb.epoch):
+                return a, b
+    return None
+
+
+def _receivers_swapped(pending, meta):
+    ab = _two_unlike(pending)
+    if ab is None:
+        return False
+    (ra, ua), (rb, ub) = pending[ab[0]], pending[ab[1]]
+    pending[ab[0]] = (dataclasses.replace(ra, receiver_pk=rb.receiver_pk), ua)
+    pending[ab[1]] = (dataclasses.replace(rb, receiver_pk=ra.receiver_pk), ub)
+    return True
+
+
+def _signature_of_another(pending, meta):
+    ab = _two_unlike(pending)
+    if ab is None:
+        return False
+    r, uid = pending[ab[0]]
+    pending[ab[0]] = (dataclasses.replace(r, sig=pending[ab[1]][0].sig), uid)
+    return True
+
+
+TAMPERS = [_hash_changed, _receivers_swapped, _index_out_of_torrent, _signature_of_another]
+
+
+class TestSenderCheck:
+    """A sender checks each report it builds with the tracker's aggregate
+    check, so a pending receipt that does not verify stops the run instead
+    of turning into a refused report."""
+
+    @staticmethod
+    def tamper_first(sim, tamper):
+        """Before the first report built from pending receipts that *tamper*
+        can edit, edit one of them; returns the senders edited."""
+        build, edited = sim._build_payload, []
+
+        def build_tampered(p):
+            if not edited and p.pending_receipts and tamper(p.pending_receipts, sim.meta):
+                edited.append(p.name)
+            return build(p)
+
+        sim._build_payload = build_tampered
+        return edited
+
+    @pytest.mark.parametrize("policy", [at.PerPiecePolicy(), at.BatchPolicy(k=2)],
+                             ids=lambda p: type(p).__name__)
+    @pytest.mark.parametrize("tamper", TAMPERS, ids=lambda f: f.__name__.strip("_"))
+    def test_tampered_receipt_stops_the_flush(self, tamper, policy):
+        sim = swarm.SwarmSim(dataclasses.replace(BASE, policy=policy), FAST)
+        edited = self.tamper_first(sim, tamper)
+        with pytest.raises(AssertionError, match="aggregate check"):
+            sim.run()
+        assert len(edited) == 1
+        assert sim.counts["reports_rejected"] == 0
+
+    def test_replay_drill_checks_its_honest_payload(self):
+        sim = swarm.SwarmSim(dataclasses.replace(BASE, adversaries=("replay",)), FAST)
+        drill, seen = sim._run_adversaries, []
+
+        def drill_tampered(t_s):
+            seeder = sim.peers[0]  # the drill's reporter
+            seen.append(len(seeder.pending_receipts))
+            _hash_changed(seeder.pending_receipts, sim.meta)
+            drill(t_s)
+
+        sim._run_adversaries = drill_tampered
+        with pytest.raises(AssertionError, match="aggregate check"):
+            sim.run()
+        assert seen and seen[0] > 0
+        assert sim.adversary["replay"]["attempts"] == 0
+
+    @pytest.mark.parametrize("policy", POLICIES[:3], ids=lambda p: type(p).__name__)
+    def test_no_receipt_is_checked_alone(self, policy, monkeypatch):
+        def alone(*args, **kwargs):
+            raise AssertionError("a receipt was checked alone")
+
+        monkeypatch.setattr(at, "verify_receipt", alone)
+        res = swarm.run_scenario(dataclasses.replace(BASE, policy=policy), FAST)
+        for name, p in res.metrics["peers"].items():
+            assert p["chain_up"] - res.scenario.init_credit == p["receipted_up"], name
+            assert p["chain_down"] == p["receipted_down"], name
+        c = res.metrics["counts"]
+        assert c["receipts"] > 0 and c["reports_rejected"] == 0
+        assert res.metrics["ops"]["verify"] == c["receipts"]  # still charged per receipt
+
+
 class TestAdversaries:
     def test_all_three_attempt_once_and_fail(self):
         sc = dataclasses.replace(BASE, adversaries=("inflate", "replay", "forge"))
