@@ -21,8 +21,11 @@ Merkle root of position-bound piece digests, with one message
 (``pieces_msg``) and one per-receipt check (``verify_receipt``).  A per-piece
 receipt is the batch of one, whose root is its one leaf; whoever checks a
 report rebuilds the message (``signed_msg``) from torrent, reporter and record.
-Whatever kind carries a piece, its replay id is the same (``piece_ids``), so
-a piece is credited at most once inside the window.
+A session cert signs ``cert_msg`` and each session receipt signs
+``session_receipt_msg``; both take their fields, so whoever checks a report
+rebuilds them from torrent, reporter and record as well.  Whatever kind
+carries a piece, its replay id is the same (``piece_ids``), so a piece is
+credited at most once inside the window.
 
 A policy's rules (JSON name, signature count, coverage, scheme, batch size)
 live on its class; no other module tests a policy's type to learn them.
@@ -52,15 +55,10 @@ def epoch_of(t: int, params: EpochParams) -> int:
     return int(t) // params.window
 
 
-def epoch_within_skew(epoch: int, now_epoch: int, params: EpochParams, skew: int = 0) -> bool:
-    """Acceptance window for a claimed epoch.
-
-    With skew=0 this is the verifier-side rule: the current epoch and the
-    ``delta`` before it.  Peers validating each other's receipts allow skew=1
-    so a receipt minted just across an epoch boundary by a clock slightly
-    ahead or behind is not bounced.
-    """
-    return now_epoch - params.delta - skew <= epoch <= now_epoch + skew
+def epoch_in_window(epoch: int, now_epoch: int, params: EpochParams) -> bool:
+    """Acceptance window for a claimed epoch: the current epoch and the
+    ``delta`` before it."""
+    return now_epoch - params.delta <= epoch <= now_epoch
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +229,12 @@ def batch_attest(receiver: sc.KeyPair, infohash: bytes, sender_pk: bytes,
     return replace(br, sig=sc.sign(receiver.sk, pieces_msg(infohash, sender_pk, br.pieces, br.epoch)))
 
 
-def verify_receipt(r, meta: TorrentMeta | None, t_now: int,
-                   params: EpochParams, skew: int = 0) -> bool:
+def verify_receipt(r, meta: TorrentMeta | None, t_now: int, params: EpochParams) -> bool:
     """Check a long-term receipt of either shape.  With *meta* the receipt's
     torrent and each piece digest are bound to it; without it only the
     signature and the epoch window are checked."""
     try:
-        if not epoch_within_skew(r.epoch, epoch_of(t_now, params), params, skew):
+        if not epoch_in_window(r.epoch, epoch_of(t_now, params), params):
             return False
         if meta is not None and r.infohash != meta.infohash:
             return False
@@ -275,21 +272,22 @@ class SessionReceipt:
     sig: bytes
 
 
-def cert_msg(cert: SessionCert) -> bytes:
+def cert_msg(infohash: bytes, sender_pk: bytes, session_pk: bytes, epoch: int) -> bytes:
     """The message a session cert's long-term signature covers."""
     return sc.canonical_encode(
         [
             (sc.TAG_ATOM, b"session-cert"),
-            (sc.TAG_BYTES, cert.infohash),
-            (sc.TAG_PUBKEY, cert.sender_pk),
-            (sc.TAG_BYTES, cert.session_pk),
-            (sc.TAG_UINT, sc.enc_uint(cert.epoch)),
+            (sc.TAG_BYTES, infohash),
+            (sc.TAG_PUBKEY, sender_pk),
+            (sc.TAG_BYTES, session_pk),
+            (sc.TAG_UINT, sc.enc_uint(epoch)),
         ]
     )
 
 
-def _session_receipt_msg(infohash: bytes, sender_pk: bytes, piece_hash: bytes,
-                         index: int, epoch: int) -> bytes:
+def session_receipt_msg(infohash: bytes, sender_pk: bytes, piece_hash: bytes,
+                        index: int, epoch: int) -> bytes:
+    """The message a session receipt's session signature covers."""
     return sc.canonical_encode(
         [
             (sc.TAG_ATOM, b"session-receipt"),
@@ -313,49 +311,33 @@ def open_session(receiver: sc.KeyPair, infohash: bytes, sender_pk: bytes,
         b"session-key" + receiver.sk + infohash + sender_pk + sc.enc_uint(epoch)
     ).digest()
     skp = sc.session_keygen(seed)
-    cert = SessionCert(
-        infohash=infohash,
-        sender_pk=sender_pk,
-        receiver_pk=receiver.pk,
-        session_pk=skp.pk,
-        epoch=epoch,
-        sig=b"",
-    )
-    return replace(cert, sig=sc.sign(receiver.sk, cert_msg(cert))), skp
-
-
-def verify_session_cert(cert: SessionCert, t_now: int, params: EpochParams, skew: int = 0) -> bool:
-    try:
-        if not epoch_within_skew(cert.epoch, epoch_of(t_now, params), params, skew):
-            return False
-        return sc.verify(cert.receiver_pk, cert_msg(cert), cert.sig)
-    except Exception:
-        return False
+    sig = sc.sign(receiver.sk, cert_msg(infohash, sender_pk, skp.pk, epoch))
+    return SessionCert(infohash, sender_pk, receiver.pk, skp.pk, epoch, sig), skp
 
 
 def session_attest(session_sk: bytes, cert: SessionCert, piece: bytes,
                    index: int, t: int, params: EpochParams) -> SessionReceipt:
     piece_hash = sc.hash_data(piece)
     epoch = epoch_of(t, params)
-    msg = _session_receipt_msg(cert.infohash, cert.sender_pk, piece_hash, index, epoch)
+    msg = session_receipt_msg(cert.infohash, cert.sender_pk, piece_hash, index, epoch)
     return SessionReceipt(
         piece_hash=piece_hash, index=index, epoch=epoch, sig=sc.session_sign(session_sk, msg)
     )
 
 
 def verify_session_receipt(cert: SessionCert, sr: SessionReceipt, meta: TorrentMeta | None,
-                           t_now: int, params: EpochParams, skew: int = 0) -> bool:
-    """Checks one session receipt against an already-verified cert.  The cert
-    itself must be validated separately (once per session, not per piece)."""
+                           t_now: int, params: EpochParams) -> bool:
+    """Check one session receipt under *cert*'s session key.  The cert's own
+    signature is not checked here: a report checks it in its aggregate."""
     try:
         if meta is not None:
             if cert.infohash != meta.infohash:
                 return False
             if not piece_matches(meta, sr.index, sr.piece_hash):
                 return False
-        if not epoch_within_skew(sr.epoch, epoch_of(t_now, params), params, skew):
+        if not epoch_in_window(sr.epoch, epoch_of(t_now, params), params):
             return False
-        msg = _session_receipt_msg(cert.infohash, cert.sender_pk, sr.piece_hash, sr.index, sr.epoch)
+        msg = session_receipt_msg(cert.infohash, cert.sender_pk, sr.piece_hash, sr.index, sr.epoch)
         return sc.session_verify(cert.session_pk, msg, sr.sig)
     except Exception:
         return False

@@ -107,7 +107,6 @@ class DhtNode:
     addr_rep: bytes
     min_rep: object
     params: DhtParams = field(default_factory=DhtParams)
-    cached_bootstrap: list = field(default_factory=list)
 
     def __post_init__(self):
         self.nid = node_id(self.kp.pk)
@@ -308,11 +307,11 @@ def find_closest(net: DhtNet, node: DhtNode, key: bytes):
 
 
 def bootstrap(net: DhtNet, node: DhtNode, bootstrap_addrs) -> int:
-    """Join via any live node from the given addresses or the node's own
-    cached set, then populate the routing table with a self-lookup.  Raises
-    JoinError when every contact point is dead."""
+    """Join via any live node from the given addresses, then populate the
+    routing table with a self-lookup.  Raises JoinError when every contact
+    point is dead."""
     live = 0
-    for ip, port in list(bootstrap_addrs) + list(node.cached_bootstrap):
+    for ip, port in bootstrap_addrs:
         nid = net.by_addr.get((ip, port))
         if nid is None:
             continue

@@ -43,13 +43,6 @@ class AttestationQuote:
             ]
         )
 
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "AttestationQuote":
-        fields = sc.canonical_decode(blob)
-        if len(fields) != 3 or [t for t, _ in fields] != [sc.TAG_DIGEST, sc.TAG_BYTES, sc.TAG_SIG]:
-            raise ValueError("bad quote encoding")
-        return cls(measurement=fields[0][1], nonce=fields[1][1], sig=fields[2][1])
-
 
 @dataclass
 class EnclaveWorld:

@@ -139,9 +139,6 @@ def cmd_overhead(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    if args.action != "dump":
-        print(f"unknown chain action {args.action!r}", file=sys.stderr)
-        return 2
     path = args.path or _chain_path(args)
     if not path:
         print("no chain log: pass a path, --chain, or set PBTS_CHAIN", file=sys.stderr)

@@ -141,7 +141,7 @@ def game_nonrepudiation(cycles: int = 1_000, seed: int = 202) -> GameResult:
                 sessions[key] = at.open_session(r_kp, meta.infohash, s_kp.pk, now, ep)
             cert, skp = sessions[key]
             sr = at.session_attest(skp.sk, cert, content, i, now, ep)
-            ok = t.report_session(
+            ok = t.report(
                 tr.build_session_report(s_uid, s_kp.pk, meta, [(cert, r_uid, [sr])]), now)
         if not ok:
             violations += 1

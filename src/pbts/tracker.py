@@ -13,9 +13,13 @@ window, and a report overlapping a credited piece is refused whole.
 A report carries each fact once: the reporter's uid and key, the torrent's
 infohash, per receipt or cert a record of what its signature does not take
 from the report (downloader uid and key, epoch, pieces or session key), the
-one aggregate that replaces the signatures, and the upload claimed.  The
-tracker rebuilds each signed message from its torrent and the reporter's
-key.  Nobody reports their own download: others' receipts credit it.
+one aggregate that replaces the long-term signatures, and the upload
+claimed.  The tracker rebuilds each signed message from its torrent and the
+reporter's key.  Each kind has one expander that turns a payload into its
+claims, the pairs its aggregate covers and the checks of the signatures it
+does not (session receipts); ``signatures_hold`` runs those signature
+checks, and a sender runs it too, on each report it builds.  Nobody
+reports their own download: others' receipts credit it.
 
 Migration spins up a successor instance whose contract names the old one as
 referrer, so one previous generation of records stays readable.
@@ -150,16 +154,67 @@ def build_session_report(uid: bytes, pk: bytes, meta: at.TorrentMeta,
                                 agg_sig=sc.aggregate(sigs), delta_up=total)
 
 
-def receipt_pairs(p: ReportPayload, meta: at.TorrentMeta):
-    """The (downloader pk, signed message) pair of each record of *p*, rebuilt
-    from the torrent and the reporter's key; None if a record names no message."""
+def _receipt_claims(p: ReportPayload, meta: at.TorrentMeta):
+    """Each record is its own claim; its pair is (downloader pk, the message
+    rebuilt from the torrent and the reporter's key).  None if a record names
+    no message."""
     pairs = []
     for _, pk_j, e_j, pieces in p.receipts:
         msg = at.signed_msg(meta.infohash, p.pk, pieces, e_j, meta)
         if msg is None:
             return None
         pairs.append((pk_j, msg))
-    return pairs
+    return p.receipts, pairs, ()
+
+
+def _session_claims(p: SessionReportPayload, meta: at.TorrentMeta):
+    """One claim per session receipt, then one per cert for the cert's own
+    epoch and downloader: a cert is checked even when no receipt uses it.
+    The aggregate covers the certs, rebuilt from the torrent and the
+    reporter's key; each receipt's session signature is an item check, whose
+    message is built only when the check runs."""
+    claims = []
+    for uid_j, pk_j, _, epoch, srs in p.sessions:
+        if not sc.fits_uint(epoch):
+            return None
+        for sr in srs:
+            if not at.piece_matches(meta, sr.index, sr.piece_hash):
+                return None
+            claims.append((uid_j, pk_j, sr.epoch, ((sr.index, sr.piece_hash),)))
+    claims += [(uid_j, pk_j, epoch, ()) for uid_j, pk_j, _, epoch, _ in p.sessions]
+    pairs = [(pk_j, at.cert_msg(meta.infohash, p.pk, session_pk, epoch))
+             for _, pk_j, session_pk, epoch, _ in p.sessions]
+    item_checks = (sc.session_verify(session_pk, at.session_receipt_msg(
+                       meta.infohash, p.pk, sr.piece_hash, sr.index, sr.epoch), sr.sig)
+                   for _, _, session_pk, _, srs in p.sessions for sr in srs)
+    return claims, pairs, item_checks
+
+
+def _expand(p, meta: at.TorrentMeta):
+    """What a report of either kind claims, given its torrent: None when a
+    binding of the kind's own fails, else (claims, pairs, item_checks).
+    Claims are (downloader uid, pk, epoch, pieces) in payload order, pieces
+    being ((index, piece hash), ...) already matched against the torrent;
+    one with no pieces credits nothing but is checked all the same.  The
+    aggregate must cover *pairs*; item_checks yields the outcome of each
+    signature the aggregate does not cover."""
+    expand = _session_claims if isinstance(p, SessionReportPayload) else _receipt_claims
+    return expand(p, meta)
+
+
+def signatures_hold(p, meta: at.TorrentMeta) -> bool:
+    """Whether every signature report *p* carries holds: its aggregate over
+    the messages its records name, and each item check.  The tracker's
+    signature check, which a sender also runs on each report it builds; it
+    judges no epoch, identity or replay."""
+    try:
+        expanded = _expand(p, meta)
+        if expanded is None:
+            return False
+        _, pairs, item_checks = expanded
+        return sc.aggregate_verify(pairs, p.agg_sig) and all(item_checks)
+    except (AttributeError, TypeError, ValueError):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +317,6 @@ class Tracker:
 
     # -- reports -------------------------------------------------------------
 
-    def report(self, payload: ReportPayload, now: int) -> bool:
-        return self._admit(payload, now, self._receipt_claims)
-
-    report_batch = report
-
-    def report_session(self, payload: SessionReportPayload, now: int) -> bool:
-        return self._admit(payload, now, self._session_claims)
-
     def _resolve(self, pk: bytes, uid: bytes):
         """uid's record on chain if it holds *pk*, else None: the one identity
         rule of announces and reports, so a key registered under two uids acts
@@ -277,35 +324,27 @@ class Tracker:
         record = ct.sc_read(self.chain, self.addr, uid)
         return record if record is not None and record.pk == pk else None
 
-    def _admit(self, p, now: int, expand) -> bool:
+    def report(self, p, now: int) -> bool:
         """The one admission pipeline of every report kind: credit the report,
         or refuse it with no effect.  Cheap checks run first, then dedup and
-        the byte count, then signatures, then the one contract write.
-
-        A kind's *expand(p, meta, now)* says only what differs: None when a
-        binding of its own fails, else (claims, pairs, item_sigs).  Claims
-        are (downloader uid, pk, epoch, pieces) in payload order, pieces
-        being ((index, piece hash), ...) already matched against the
-        torrent; one with no pieces credits nothing but is checked all the
-        same.  Each piece has one replay id whatever kind carries it, and a
-        report naming an id already spent is refused whole.  The aggregate
-        must cover *pairs*; item_sigs yields the outcome of each signature
-        the aggregate does not cover."""
+        the byte count, then signatures, then the one contract write.  Each
+        piece has one replay id whatever kind carries it, and a report naming
+        an id already spent is refused whole."""
         try:
             meta = self.torrents.get(p.infohash)
             reporter = self._resolve(p.pk, p.uid)
             if meta is None or reporter is None:
                 return False
-            expanded = expand(p, meta, now)
+            expanded = _expand(p, meta)
             if expanded is None:
                 return False
-            claims, pairs, item_sigs = expanded
+            claims, pairs, item_checks = expanded
             now_epoch = at.epoch_of(now, self.epoch)
             resolved, rids, credits = {}, [], {}  # credits: uid -> bytes, first seen first
             for uid_j, pk_j, e_j, pieces in claims:
                 if pk_j == p.pk:
                     return False  # no credit for transfers to oneself
-                if not at.epoch_within_skew(e_j, now_epoch, self.epoch):
+                if not at.epoch_in_window(e_j, now_epoch, self.epoch):
                     return False
                 if (pk_j, uid_j) not in resolved:
                     resolved[pk_j, uid_j] = self._resolve(pk_j, uid_j)
@@ -318,7 +357,7 @@ class Tracker:
                 return False
             if p.delta_up != sum(credits.values()):
                 return False
-            if not sc.aggregate_verify(pairs, p.agg_sig) or not all(item_sigs):
+            if not sc.aggregate_verify(pairs, p.agg_sig) or not all(item_checks):
                 return False
         except (AttributeError, TypeError, ValueError):
             return False  # a peer-fed field of the wrong type or shape
@@ -330,30 +369,7 @@ class Tracker:
         self.recent.update(dict.fromkeys(rids, now_epoch))
         return True
 
-    def _receipt_claims(self, p: ReportPayload, meta: at.TorrentMeta, now: int):
-        """Each record is its own claim, and its pair is ``receipt_pairs``'."""
-        pairs = receipt_pairs(p, meta)
-        return None if pairs is None else (p.receipts, pairs, ())
-
-    def _session_claims(self, p: SessionReportPayload, meta: at.TorrentMeta, now: int):
-        """One claim per session receipt, then one per cert for the cert's
-        own epoch and downloader: a cert is checked even when no receipt uses it.
-        The aggregate covers the certs, rebuilt from the torrent and the
-        reporter's key; each receipt carries its own session signature."""
-        claims, certs = [], []
-        for uid_j, pk_j, session_pk, epoch, srs in p.sessions:
-            if not sc.fits_uint(epoch):
-                return None
-            certs.append((at.SessionCert(meta.infohash, p.pk, pk_j, session_pk, epoch, b""), srs))
-            for sr in srs:
-                if not at.piece_matches(meta, sr.index, sr.piece_hash):
-                    return None
-                claims.append((uid_j, pk_j, sr.epoch, ((sr.index, sr.piece_hash),)))
-        claims += [(uid_j, pk_j, epoch, ()) for uid_j, pk_j, _, epoch, _ in p.sessions]
-        pairs = [(c.receiver_pk, at.cert_msg(c)) for c, _ in certs]
-        item_sigs = (at.verify_session_receipt(c, sr, meta, now, self.epoch)
-                     for c, srs in certs for sr in srs)
-        return claims, pairs, item_sigs
+    report_batch = report_session = report  # the names the benchmark calls
 
     def gc_recent(self, now: int) -> int:
         """Drop dedup entries old enough that the epoch-window check alone

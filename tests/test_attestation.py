@@ -34,25 +34,22 @@ class TestEpochs:
         with pytest.raises(ValueError):
             at.epoch_of(-1, EP)
 
-    @given(st.integers(0, 3), st.integers(0, 20), st.integers(0, 20), st.integers(0, 1))
+    @given(st.integers(0, 3), st.integers(0, 20), st.integers(0, 20))
     @settings(max_examples=300)
-    def test_window_rule(self, delta, e, now, skew):
+    def test_window_rule(self, delta, e, now):
         p = at.EpochParams(window=100, delta=delta)
-        inside = at.epoch_within_skew(e, now, p, skew)
-        assert inside == (now - delta - skew <= e <= now + skew)
+        assert at.epoch_in_window(e, now, p) == (now - delta <= e <= now)
 
     def test_exhaustive_windows(self):
-        # every (delta, lag) combination near the boundary, both skews
+        # every (delta, lag) combination near the boundary
         for delta in range(4):
             p = at.EpochParams(window=10, delta=delta)
             for lag in range(3 * delta + 2):
                 now = 20
                 e = now - lag
-                assert at.epoch_within_skew(e, now, p) == (lag <= delta)
-                assert at.epoch_within_skew(e, now, p, skew=1) == (lag <= delta + 1)
-            # future epochs only under skew
-            assert not at.epoch_within_skew(now + 1, now, p)
-            assert at.epoch_within_skew(now + 1, now, p, skew=1)
+                assert at.epoch_in_window(e, now, p) == (lag <= delta)
+            # no future epoch
+            assert not at.epoch_in_window(now + 1, now, p)
 
 
 class TestTorrentMeta:
@@ -113,7 +110,7 @@ class TestReceipts:
             dataclasses.replace(r, sig=b"\x00" * 96),
         ]
         for bad in mutations:
-            assert not at.verify_receipt(bad, self.meta, self.now, EP, skew=1), bad
+            assert not at.verify_receipt(bad, self.meta, self.now, EP), bad
 
     def test_mixed_population(self):
         """A shuffled pile of valid and tampered receipts sorts perfectly."""
@@ -145,13 +142,10 @@ class TestReceipts:
         ok_until = self.now + EP.delta * EP.window
         assert at.verify_receipt(r, self.meta, ok_until, EP)
         assert not at.verify_receipt(r, self.meta, ok_until + EP.window, EP)
-        # peer-side skew keeps it alive one epoch longer
-        assert at.verify_receipt(r, self.meta, ok_until + EP.window, EP, skew=1)
 
     def test_future_receipt_rejected(self):
         r = self.attest(t=self.now + EP.window)
         assert not at.verify_receipt(r, self.meta, self.now, EP)
-        assert at.verify_receipt(r, self.meta, self.now, EP, skew=1)
 
     def test_wrong_meta_rejected(self):
         r = self.attest()
@@ -205,8 +199,8 @@ class TestReceipts:
         sr = at.session_attest(skp.sk, cert, self.contents[0], 0, self.now, EP)
         msgs = [
             at.receipt_msg(ih, pk, h, 0, 10),
-            at.cert_msg(cert),
-            at._session_receipt_msg(ih, pk, sr.piece_hash, 0, sr.epoch),
+            at.cert_msg(ih, pk, cert.session_pk, cert.epoch),
+            at.session_receipt_msg(ih, pk, sr.piece_hash, 0, sr.epoch),
             tr.register_msg(b"iid", b"uid"),
             tr.announce_msg(b"uid", ih, "started"),
             dht.announce_record_msg(ih, pk, "10.0.0.1", 6881),
@@ -328,7 +322,7 @@ class TestBatchReceipts:
             dataclasses.replace(br, sender_pk=self.recv.pk),
         ]
         for bad in cases:
-            assert not at.verify_receipt(bad, self.meta, self.now, EP, skew=1)
+            assert not at.verify_receipt(bad, self.meta, self.now, EP)
 
     def test_subset_claim_fails(self):
         # dropping one piece changes the root, so partial claims don't verify
@@ -356,12 +350,19 @@ class TestSessions:
         self.meta, self.contents = make_meta(n=6)
         self.now = 4 * EP.window + 9
 
+    def report(self, cert, srs, reporter=None):
+        """A one-session report of *cert* and *srs* by *reporter* (the
+        sender by default)."""
+        return tr.build_session_report(b"s", (reporter or self.send).pk, self.meta,
+                                       [(cert, b"r", srs)])
+
     def test_cert_and_receipts(self):
         cert, skp = at.open_session(self.recv, self.meta.infohash, self.send.pk, self.now, EP)
-        assert at.verify_session_cert(cert, self.now, EP)
-        for i in range(6):
-            sr = at.session_attest(skp.sk, cert, self.contents[i], i, self.now, EP)
+        srs = [at.session_attest(skp.sk, cert, self.contents[i], i, self.now, EP)
+               for i in range(6)]
+        for sr in srs:
             assert at.verify_session_receipt(cert, sr, self.meta, self.now, EP)
+        assert tr.signatures_hold(self.report(cert, srs), self.meta)
 
     def test_reopen_same_epoch_reuses_key(self):
         c1, k1 = at.open_session(self.recv, self.meta.infohash, self.send.pk, self.now, EP)
@@ -373,21 +374,29 @@ class TestSessions:
 
     def test_cert_binds_participants(self):
         cert, skp = at.open_session(self.recv, self.meta.infohash, self.send.pk, self.now, EP)
+        sr = at.session_attest(skp.sk, cert, self.contents[0], 0, self.now, EP)
+        honest = self.report(cert, [sr])
+        assert tr.signatures_hold(honest, self.meta)
         other = sc.keygen(b"\x27" * 32)
-        assert not at.verify_session_cert(
-            dataclasses.replace(cert, sender_pk=other.pk), self.now, EP)
-        assert not at.verify_session_cert(
-            dataclasses.replace(cert, receiver_pk=other.pk), self.now, EP)
-        assert not at.verify_session_cert(
-            dataclasses.replace(cert, session_pk=sc.session_keygen(b"\x28" * 32).pk),
-            self.now, EP)
+        other_session_pk = sc.session_keygen(b"\x28" * 32).pk
+        (uid, pk, session_pk, epoch, srs), = honest.sessions
+        swapped = [
+            dataclasses.replace(honest, pk=other.pk),  # sender
+            dataclasses.replace(honest, sessions=((uid, other.pk, session_pk, epoch, srs),)),
+            dataclasses.replace(honest, sessions=((uid, pk, other_session_pk, epoch, srs),)),
+        ]
+        for bad in swapped:
+            assert not tr.signatures_hold(bad, self.meta)
 
     def test_receipt_not_valid_under_other_session(self):
         cert, skp = at.open_session(self.recv, self.meta.infohash, self.send.pk, self.now, EP)
         other_send = sc.keygen(b"\x29" * 32)
-        cert2, _ = at.open_session(self.recv, self.meta.infohash, other_send.pk, self.now, EP)
+        cert2, skp2 = at.open_session(self.recv, self.meta.infohash, other_send.pk, self.now, EP)
         sr = at.session_attest(skp.sk, cert, self.contents[0], 0, self.now, EP)
-        assert not at.verify_session_receipt(cert2, sr, self.meta, self.now, EP)
+        assert tr.signatures_hold(
+            self.report(cert2, [at.session_attest(skp2.sk, cert2, self.contents[0], 0,
+                                                  self.now, EP)], other_send), self.meta)
+        assert not tr.signatures_hold(self.report(cert2, [sr], other_send), self.meta)
 
     def test_session_receipt_meta_binding(self):
         cert, skp = at.open_session(self.recv, self.meta.infohash, self.send.pk, self.now, EP)
@@ -404,7 +413,8 @@ class TestSessions:
         agg = sc.aggregate(c.sig for c in certs)
 
         def pairs(cs):
-            return [(c.receiver_pk, at.cert_msg(c)) for c in cs]
+            return [(c.receiver_pk, at.cert_msg(c.infohash, c.sender_pk, c.session_pk, c.epoch))
+                    for c in cs]
 
         assert sc.aggregate_verify(pairs(certs), agg)
         # swap one cert for an unaggregated one

@@ -65,6 +65,12 @@ class TestChainDump:
         assert cli.main(["chain", "dump"]) == 2
         assert "PBTS_CHAIN" in capsys.readouterr().err
 
+    def test_unknown_action_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["chain", "load"])
+        assert e.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_env_var_supplies_the_path(self, scenario_file, tmp_path,
                                        capsys, monkeypatch):
         log = tmp_path / "env-chain.log"

@@ -484,11 +484,11 @@ class TestJoin:
             dht.bootstrap(env.net, node, [("10.254.0.1", 1), ("10.254.0.2", 1)])
         assert node.nid not in env.net.nodes
 
-    def test_cached_bootstrap_fallback(self):
+    def test_dead_contact_point_is_skipped(self):
         env = Net(5, seed=52)
         node = self._newcomer(env, 52)
-        node.cached_bootstrap.append((env.nodes[0].ip, env.nodes[0].port))
-        assert dht.bootstrap(env.net, node, [("10.254.0.1", 1)]) == 1
+        live = (env.nodes[0].ip, env.nodes[0].port)
+        assert dht.bootstrap(env.net, node, [("10.254.0.1", 1), live]) == 1
         assert env.net.nodes[node.nid] is node
         assert len(table(node)) > 0
         # the newcomer is now discoverable

@@ -10,6 +10,7 @@ import pytest
 
 from pbts import attestation as at
 from pbts import contract as ct
+from pbts import sigcrypto as sc
 from pbts.sim import costs as C
 from pbts.sim import scenario as scn
 from pbts.sim import swarm
@@ -395,19 +396,56 @@ def _signature_of_another(pending, meta):
 TAMPERS = [_hash_changed, _receivers_swapped, _index_out_of_torrent, _signature_of_another]
 
 
+def _first_session(pending):
+    """The first pending session entry, [cert, downloader uid, [receipts]]."""
+    return next(iter(pending.values()))
+
+
+def _session_sig_flipped(pending, meta):
+    srs = _first_session(pending)[2]
+    sig = bytearray(srs[0].sig)
+    sig[-1] ^= 1
+    srs[0] = dataclasses.replace(srs[0], sig=bytes(sig))
+    return True
+
+
+def _session_hash_changed(pending, meta):
+    srs = _first_session(pending)[2]
+    other = meta.piece_hashes[(srs[0].index + 1) % meta.num_pieces]
+    srs[0] = dataclasses.replace(srs[0], piece_hash=other)
+    return True
+
+
+def _cert_session_key_changed(pending, meta):
+    entry = _first_session(pending)
+    entry[0] = dataclasses.replace(entry[0], session_pk=sc.session_keygen(b"\x01" * 32).pk)
+    return True
+
+
+def _cert_epoch_changed(pending, meta):
+    entry = _first_session(pending)
+    entry[0] = dataclasses.replace(entry[0], epoch=entry[0].epoch + 1)
+    return True
+
+
+SESSION_TAMPERS = [_session_sig_flipped, _session_hash_changed,
+                   _cert_session_key_changed, _cert_epoch_changed]
+
+
 class TestSenderCheck:
-    """A sender checks each report it builds with the tracker's aggregate
-    check, so a pending receipt that does not verify stops the run instead
-    of turning into a refused report."""
+    """A sender checks each report it builds with the tracker's signature
+    check, so a pending receipt or cert that does not verify stops the run
+    instead of turning into a refused report."""
 
     @staticmethod
     def tamper_first(sim, tamper):
-        """Before the first report built from pending receipts that *tamper*
-        can edit, edit one of them; returns the senders edited."""
+        """Before the first report built from pending receipts or sessions
+        that *tamper* can edit, edit one of them; returns the senders edited."""
         build, edited = sim._build_payload, []
 
         def build_tampered(p):
-            if not edited and p.pending_receipts and tamper(p.pending_receipts, sim.meta):
+            pending = p.pending_receipts or p.pending_sessions
+            if not edited and pending and tamper(pending, sim.meta):
                 edited.append(p.name)
             return build(p)
 
@@ -424,6 +462,41 @@ class TestSenderCheck:
             sim.run()
         assert len(edited) == 1
         assert sim.counts["reports_rejected"] == 0
+
+    @pytest.mark.parametrize("tamper", SESSION_TAMPERS, ids=lambda f: f.__name__.strip("_"))
+    def test_tampered_session_stops_the_flush(self, tamper):
+        sim = swarm.SwarmSim(dataclasses.replace(BASE, policy=at.SessionPolicy()), FAST)
+        edited = self.tamper_first(sim, tamper)
+        with pytest.raises(AssertionError, match="aggregate check"):
+            sim.run()
+        assert len(edited) == 1
+        assert sim.counts["reports_rejected"] == 0
+
+    def test_no_session_receipt_is_checked_on_arrival(self, monkeypatch):
+        def alone(*args, **kwargs):
+            raise AssertionError("a session receipt was checked on arrival")
+
+        monkeypatch.setattr(at, "verify_session_receipt", alone)
+        sc_ = dataclasses.replace(BASE, policy=at.SessionPolicy(),
+                                  tracker_down=((800_000, 1_000_000),), migrate_on_recovery=True)
+        res = swarm.run_scenario(sc_, FAST)
+        assert res.metrics["tracker"]["migrations"] == 1
+        for name, p in res.metrics["peers"].items():
+            assert p["chain_up"] - res.scenario.init_credit == p["receipted_up"], name
+            assert p["chain_down"] == p["receipted_down"], name
+        c = res.metrics["counts"]
+        assert c["receipts"] > 0 and c["reports_rejected"] == 0
+        assert res.metrics["ops"]["session_verify"] == c["receipts"]  # still charged
+
+    def test_stale_sessions_are_refused_not_raised(self):
+        """The sender's check judges no epoch: sessions that went stale during
+        an outage reach the tracker, which refuses them."""
+        sc_ = scn.Scenario(name="stale", seed=4, peers=4, seeders=1,
+                           file_size=3 * 1024, piece_size=512, bandwidth=100.0,
+                           epoch_window=40, tracker_down=((5_000, 200_000),),
+                           policy=at.SessionPolicy())
+        res = swarm.run_scenario(sc_, FAST)
+        assert res.metrics["counts"]["reports_rejected"] > 0
 
     def test_replay_drill_checks_its_honest_payload(self):
         sim = swarm.SwarmSim(dataclasses.replace(BASE, adversaries=("replay",)), FAST)

@@ -288,6 +288,22 @@ class TestSessionReport:
         payload2 = tr.build_session_report(uid0, kp0.pk, env.meta, [(cert, uid1, srs[:1])])
         assert not env.t.report_session(payload2, NOW)
 
+    def test_session_messages_are_built_after_the_cheap_checks(self, env, monkeypatch):
+        uid1, kp1 = env.users[1]
+        uid0, kp0 = env.users[0]
+        cert, skp = at.open_session(kp1, env.meta.infohash, kp0.pk, NOW, env.t.epoch)
+        srs = [at.session_attest(skp.sk, cert, env.contents[i], i, NOW, env.t.epoch)
+               for i in range(3)]
+        payload = tr.build_session_report(uid0, kp0.pk, env.meta, [(cert, uid1, srs)])
+        built, msg = [], at.session_receipt_msg
+        monkeypatch.setattr(at, "session_receipt_msg", lambda *a: built.append(a) or msg(*a))
+        assert not env.t.report(dataclasses.replace(payload, delta_up=payload.delta_up + 1), NOW)
+        doubled = sc.aggregate([cert.sig, cert.sig])
+        assert not env.t.report(dataclasses.replace(payload, agg_sig=doubled), NOW)
+        assert built == []
+        assert env.t.report(payload, NOW)
+        assert len(built) == 3
+
     def test_cert_sender_mismatch(self, env):
         uid1, kp1 = env.users[1]
         uid0, kp0 = env.users[0]
