@@ -3,7 +3,9 @@
 Subcommands: run a scenario, benchmark the crypto on this host, run the
 adversarial games, print the policy comparison table, print the signing
 overhead projection, and dump a chain log.  The chain log path comes from
-``--chain`` or, failing that, the ``PBTS_CHAIN`` environment variable.
+``--chain`` or, failing that, the ``PBTS_CHAIN`` environment variable.  Bad
+input (an unreadable or invalid file, an out-of-range number) exits 1 with the
+reason on stderr.
 """
 
 from __future__ import annotations
@@ -113,10 +115,7 @@ def cmd_table1(args) -> int:
     return 0
 
 
-_POLICY_CHOICES = {p.name: p for p in (
-    at.PerPiecePolicy(), at.AdaptivePolicy(), at.BatchPolicy(k=10),
-    at.SessionPolicy(), at.NullPolicy(),
-)}
+_POLICY_CHOICES = {p.name: p for p in (*C.TABLE1_POLICIES, at.NullPolicy())}
 
 
 def cmd_overhead(args) -> int:
@@ -143,15 +142,7 @@ def cmd_chain(args) -> int:
     if not path:
         print("no chain log: pass a path, --chain, or set PBTS_CHAIN", file=sys.stderr)
         return 2
-    try:
-        entries = ct.read_log(path)
-    except OSError as e:
-        print(f"cannot read chain log: {e}", file=sys.stderr)
-        return 1
-    except ct.ChainLogCorrupt as e:
-        print(e, file=sys.stderr)
-        return 1
-    for e in entries:
+    for e in ct.read_log(path):
         print(json.dumps(e, sort_keys=True, separators=(",", ":")))
     return 0
 
@@ -206,7 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as e:
+        reason = f"cannot read or write: {e}"
+    except (ValueError, ct.ChainError) as e:
+        reason = str(e)
+    print(f"pbts {args.cmd}: {reason}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

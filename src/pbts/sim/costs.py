@@ -61,6 +61,8 @@ def throughput_overhead(file_size: int, bandwidth: float, piece_size: int,
     """Fractional download-time increase caused by receipt signing: the
     policy's signature count times per-op latency, relative to the transfer
     time alone."""
+    if bandwidth <= 0:
+        raise ValueError("bandwidth must be positive")
     n = piece_count(file_size, piece_size)
     sign_ms = cost.session_sign_ms if policy.session else cost.sign_ms
     signing_s = policy.signatures(n) * sign_ms / 1000.0
@@ -95,6 +97,8 @@ def table1(n: int = 2560, bls_op_ms: float = 2.0, session_op_ms: float = 0.2):
     values are reported, with the source's under a ``published`` key and a
     ``note`` flagging the discrepancy.
     """
+    if bls_op_ms <= 0 or session_op_ms <= 0:
+        raise ValueError("per-op latencies must be positive")
     rows = []
     for pol in TABLE1_POLICIES:
         count = pol.signatures(n)

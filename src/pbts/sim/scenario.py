@@ -9,7 +9,7 @@ fails loudly instead of silently running a different experiment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .. import attestation as at
@@ -66,32 +66,7 @@ class Scenario:
         return at.EpochParams(window=self.epoch_window, delta=self.epoch_delta)
 
 
-_FIELDS = {f.name for f in fields(Scenario)}
-_INT_FIELDS = ("seed", "peers", "seeders", "file_size", "piece_size",
-               "epoch_window", "epoch_delta", "init_credit")
-
-
-def scenario_to_json(sc: Scenario) -> dict:
-    return {
-        "name": sc.name,
-        "seed": sc.seed,
-        "peers": sc.peers,
-        "seeders": sc.seeders,
-        "file_size": sc.file_size,
-        "piece_size": sc.piece_size,
-        "policy": at.policy_to_json(sc.policy),
-        "epoch_window": sc.epoch_window,
-        "epoch_delta": sc.epoch_delta,
-        "min_rep": str(sc.min_rep),
-        "init_credit": sc.init_credit,
-        "bandwidth": sc.bandwidth,
-        "tracker_down": [list(iv) for iv in sc.tracker_down],
-        "migrate_on_recovery": sc.migrate_on_recovery,
-        "adversaries": list(sc.adversaries),
-    }
-
-
-def _json_fraction(value) -> Fraction:
+def _json_fraction(value, what: str) -> Fraction:
     """A JSON integer, or a string that ``Fraction`` parses exactly ("1/4",
     "0.1"); a bool, a float or anything else is refused, not converted."""
     try:
@@ -99,58 +74,66 @@ def _json_fraction(value) -> Fraction:
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
-    raise ValueError(f"min_rep must be an integer or a fraction string, not {value!r}")
+    raise ValueError(f"{what} must be an integer or a fraction string, not {value!r}")
 
 
-def _json_list(value, what: str) -> list:
-    if type(value) is not list:
-        raise ValueError(f"{what} must be a list, not {value!r}")
+def _same(value):
     return value
+
+
+def _json_of(noun: str, ok, convert=_same):
+    """A parser that refuses a JSON value unless *ok* holds for it."""
+    def parse(value, what: str):
+        if not ok(value):
+            raise ValueError(f"{what} must be {noun}, not {value!r}")
+        return convert(value)
+    return parse
+
+
+_json_list = _json_of("a list", lambda v: type(v) is list)
+
+
+def _json_outages(value, what: str) -> tuple:
+    return tuple(tuple(at.json_int(t, what) for t in _json_list(iv, "an outage"))
+                 for iv in _json_list(value, what))
+
+
+_INT = (at.json_int, _same)
+
+# every Scenario field: (parse its JSON value, dump it to one), in field order
+_JSON = {
+    "name": (_json_of("a string", lambda v: isinstance(v, str)), _same),
+    "seed": _INT,
+    "peers": _INT,
+    "seeders": _INT,
+    "file_size": _INT,
+    "piece_size": _INT,
+    "policy": (lambda value, what: at.policy_from_json(value), at.policy_to_json),
+    "epoch_window": _INT,
+    "epoch_delta": _INT,
+    "min_rep": (_json_fraction, str),
+    "init_credit": _INT,
+    "bandwidth": (_json_of("a number", lambda v: not isinstance(v, bool)
+                           and isinstance(v, (int, float)), float), _same),
+    "tracker_down": (_json_outages, lambda ivs: [list(iv) for iv in ivs]),
+    "migrate_on_recovery": (_json_of("a bool", lambda v: type(v) is bool), _same),
+    "adversaries": (lambda value, what: tuple(_json_list(value, what)), list),
+}
+
+
+def scenario_to_json(sc: Scenario) -> dict:
+    return {f: dump(getattr(sc, f)) for f, (_, dump) in _JSON.items()}
 
 
 def scenario_from_json(doc: dict) -> Scenario:
     if type(doc) is not dict:
         raise ValueError(f"a scenario must be a JSON object, not {doc!r}")
-    unknown = set(doc) - _FIELDS
+    unknown = set(doc) - set(_JSON)
     if unknown:
         raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-    kwargs = {}
-    if "name" in doc:
-        if not isinstance(doc["name"], str):
-            raise ValueError(f"name must be a string, not {doc['name']!r}")
-        kwargs["name"] = doc["name"]
-    for f in _INT_FIELDS:
-        if f in doc:
-            kwargs[f] = at.json_int(doc[f], f)
-    if "policy" in doc:
-        kwargs["policy"] = at.policy_from_json(doc["policy"])
-    if "min_rep" in doc:
-        kwargs["min_rep"] = _json_fraction(doc["min_rep"])
-    if "bandwidth" in doc:
-        bw = doc["bandwidth"]
-        if isinstance(bw, bool) or not isinstance(bw, (int, float)):
-            raise ValueError(f"bandwidth must be a number, not {bw!r}")
-        kwargs["bandwidth"] = float(bw)
-    if "tracker_down" in doc:
-        kwargs["tracker_down"] = tuple(
-            tuple(at.json_int(t, "tracker_down") for t in _json_list(iv, "an outage"))
-            for iv in _json_list(doc["tracker_down"], "tracker_down"))
-    if "migrate_on_recovery" in doc:
-        mig = doc["migrate_on_recovery"]
-        if type(mig) is not bool:
-            raise ValueError(f"migrate_on_recovery must be a bool, not {mig!r}")
-        kwargs["migrate_on_recovery"] = mig
-    if "adversaries" in doc:
-        kwargs["adversaries"] = tuple(_json_list(doc["adversaries"], "adversaries"))
-    return Scenario(**kwargs)
+    return Scenario(**{f: parse(doc[f], f) for f, (parse, _) in _JSON.items() if f in doc})
 
 
 def load_scenario(path: str) -> Scenario:
     with open(path) as fh:
         return scenario_from_json(json.load(fh))
-
-
-def save_scenario(sc: Scenario, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_json(sc), fh, indent=2, sort_keys=True)
-        fh.write("\n")

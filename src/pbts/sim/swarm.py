@@ -17,11 +17,13 @@ that receipts bind to.
 
 Per-piece and adaptive receipts are batches of one: a receiver buffers each
 covered piece per sender and signs once it holds the policy's ``k`` pieces or
-its download ends.  Report sizes follow the aggregated wire layout, unchanged
-by the records reports carry so recorded digests hold: 32 bytes per covered
-piece hash plus one 96-byte aggregate signature, except session reports which
-carry one 64-byte signature per piece plus a 96-byte certificate signature
-per session.
+its download ends.  A transfer's receipt work (the buffers its piece
+flushes, or the cert it needs) is decided once, as the transfer starts; the
+transfer is charged for exactly that work and its arrival does it.  Report
+sizes follow the aggregated wire layout, unchanged by the records reports
+carry so recorded digests hold: 32 bytes per covered piece hash plus one
+96-byte aggregate signature, except session reports which carry one 64-byte
+signature per piece plus a 96-byte certificate signature per session.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .. import attestation as at
 from .. import contract as ct
@@ -54,7 +55,6 @@ class PeerState:
     ip: str
     port: int
     rng: random.Random
-    is_seeder: bool
     have: set = field(default_factory=set)
     todo: list = field(default_factory=list)
     view: set = field(default_factory=set)          # pks learned from announces
@@ -111,11 +111,9 @@ class SwarmSim:
         self.peers: list[PeerState] = []
         for i in range(sc_.peers):
             kp = sc.keygen(master.getrandbits(256).to_bytes(32, "big"))
-            p = PeerState(
-                uid=b"peer-%02d" % i, kp=kp, ip=f"10.0.0.{i + 1}", port=7000 + i,
-                rng=random.Random(master.getrandbits(64)), is_seeder=i < sc_.seeders,
-            )
-            if p.is_seeder:
+            p = PeerState(uid=b"peer-%02d" % i, kp=kp, ip=f"10.0.0.{i + 1}", port=7000 + i,
+                          rng=random.Random(master.getrandbits(64)))
+            if i < sc_.seeders:
                 p.have = set(range(sc_.num_pieces))
                 p.done = True
             else:
@@ -184,11 +182,10 @@ class SwarmSim:
         return [p for p in self.peers
                 if p is not leecher and index in p.have and p.kp.pk in leecher.view]
 
-    def _attest_charge(self, leecher: PeerState, sender: PeerState, index: int,
-                       dur: float) -> float:
-        """Latency charged to this piece's transfer for receipt work, per the
-        active policy and the receiver's current buffering state; the transfer
-        itself takes *dur* ms from now."""
+    def _receipt_work(self, leecher: PeerState, sender: PeerState, index: int,
+                      dur: float) -> tuple[float, list]:
+        """This piece's receipt work, decided as its transfer (*dur* ms from now)
+        starts: the latency charged to it, and the senders its arrival flushes."""
         pol = self.sc.policy
         c = self.cost
         if pol.session:
@@ -198,38 +195,32 @@ class SwarmSim:
             epoch = at.epoch_of(self._t_s(self.t + (dur + charge)), self.ep)
             if (sender.kp.pk, epoch) not in leecher.session_keys:
                 charge += c.sign_ms + c.verify_ms  # certificate mint + check
-            return charge
-        if not pol.covers(index, self.meta.num_pieces):
-            return 0.0
-        # todo[0] is this piece.  The last one flushes every open buffer, the
-        # sender's (which this piece joins) exactly once.
-        spk = sender.kp.pk
-        if len(leecher.todo) == 1:
-            flushes = 1 + sum(1 for pk, b in leecher.batch_buf.items() if b and pk != spk)
-        else:
-            flushes = 1 if len(leecher.batch_buf.get(spk, ())) + 1 >= pol.k else 0
-        return flushes * (c.sign_ms + c.verify_ms)
+            return charge, []
+        # buffer sizes once the piece lands; the last piece flushes every one
+        sizes = {pk: len(b) for pk, b in leecher.batch_buf.items()}
+        if pol.covers(index, self.meta.num_pieces):
+            sizes[sender.kp.pk] = sizes.get(sender.kp.pk, 0) + 1
+        last = len(leecher.todo) == 1
+        flushes = [pk for pk, n in sizes.items() if last or n >= pol.k]
+        return len(flushes) * (c.sign_ms + c.verify_ms), flushes
 
     def _schedule_next(self, leecher: PeerState):
         index = leecher.todo[0]
         holders = self._holders(leecher, index)
         sender = leecher.rng.choice(holders)
         dur = at.piece_len(self.meta, index) / self.sc.bandwidth * 1000.0
-        dur += self._attest_charge(leecher, sender, index, dur)
-        self._push(self.t + dur, "finish", (leecher, sender, index))
+        charge, flushes = self._receipt_work(leecher, sender, index, dur)
+        self._push(self.t + (dur + charge), "finish", (leecher, sender, index, flushes))
 
     def _flush_batch_buf(self, leecher: PeerState, sender_pk: bytes, t_s: int):
-        buf = leecher.batch_buf.get(sender_pk)
-        if not buf:
-            return
+        buf = leecher.batch_buf.pop(sender_pk)
         br = at.batch_attest(leecher.kp, self.meta.infohash, sender_pk, buf, t_s, self.ep)
         self.ops["sign"] += 1
         self.ops["verify"] += 1  # charged here, checked in aggregate at report time
         self.by_pk[sender_pk].pending_receipts.append((br, leecher.uid))
         self.counts["receipts"] += 1
-        leecher.batch_buf[sender_pk] = {}
 
-    def _on_finish(self, leecher: PeerState, sender: PeerState, index: int):
+    def _on_finish(self, leecher: PeerState, sender: PeerState, index: int, flushes: list):
         t_s = self._t_s(self.t)
         leecher.todo.pop(0)
         leecher.have.add(index)
@@ -262,16 +253,13 @@ class SwarmSim:
             pending[2].append(sr)
             self.counts["receipts"] += 1
         elif covered:
-            buf = leecher.batch_buf.setdefault(sender.kp.pk, {})
-            buf[index] = content
-            if len(buf) >= pol.k:
-                self._flush_batch_buf(leecher, sender.kp.pk, t_s)
+            leecher.batch_buf.setdefault(sender.kp.pk, {})[index] = content
+        for spk in flushes:
+            self._flush_batch_buf(leecher, spk, t_s)
 
         if leecher.todo:
             self._schedule_next(leecher)
         else:
-            for spk in list(leecher.batch_buf):  # the final piece flushes every open buffer
-                self._flush_batch_buf(leecher, spk, t_s)
             leecher.done = True
             self._announce(leecher, "completed")
 
@@ -402,7 +390,7 @@ class SwarmSim:
 
     def run(self) -> SimResult:
         for p in self.peers:
-            if not p.is_seeder:
+            if p.todo:
                 self._schedule_next(p)
         self._push(float(self.flush_every), "flush", None)
         for _, b in self.sc.tracker_down:

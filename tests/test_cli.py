@@ -19,7 +19,7 @@ def scenario_file(tmp_path):
     sc = scn.Scenario(name="cli", seed=2, peers=4, seeders=1,
                       file_size=8 * 1024, piece_size=4 * 1024)
     p = tmp_path / "cli.json"
-    scn.save_scenario(sc, str(p))
+    p.write_text(json.dumps(scn.scenario_to_json(sc)))
     return str(p)
 
 
@@ -105,6 +105,38 @@ class TestChainDump:
         assert cli.main(["chain", "dump", "--chain",
                          str(tmp_path / "nope.log")]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv, reason", [
+        (["overhead", "--bandwidth", "0"], "bandwidth must be positive"),
+        (["overhead", "--bandwidth", "-5"], "bandwidth must be positive"),
+        (["overhead", "--file-size", "0"], "sizes must be positive"),
+        (["table1", "--pieces", "-1"], "negative piece count"),
+        (["table1", "--sign-ms", "-1"], "latencies must be positive"),
+        (["bench", "--reps", "5"], "at least 100 repetitions"),
+    ])
+    def test_out_of_range_number(self, argv, reason, capsys):
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"pbts {argv[0]}: ") and reason in err
+
+    def test_missing_scenario_file(self, tmp_path, capsys):
+        assert cli.main(["run", str(tmp_path / "nope.json")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("pbts run: cannot read") and "nope.json" in err
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"peers": 1}', "at least one seeder"),
+        ('{"turbo": true}', "turbo"),
+        ('{"peers": ', "Expecting value"),
+    ])
+    def test_invalid_scenario_file(self, text, reason, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert cli.main(["run", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("pbts run: ") and reason in err
 
 
 class TestTable1:

@@ -3,6 +3,7 @@ runs whose on-chain ledgers must match receipted ground truth exactly."""
 
 import dataclasses
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -210,8 +211,12 @@ class TestScenarioJson:
     def test_file_round_trip(self, tmp_path):
         sc = scn.Scenario(seed=3, policy=at.BatchPolicy(k=5))
         p = tmp_path / "sc.json"
-        scn.save_scenario(sc, str(p))
+        p.write_text(json.dumps(scn.scenario_to_json(sc)))
         assert scn.load_scenario(str(p)) == sc
+
+    def test_json_names_every_field(self):
+        assert set(scn.scenario_to_json(scn.Scenario())) == {
+            f.name for f in dataclasses.fields(scn.Scenario)}
 
     @pytest.mark.parametrize("bad", [
         dict(peers=1),
@@ -308,20 +313,32 @@ class TestLedger:
             assert p["chain_down"] == p["receipted_down"], name
         assert res.metrics["counts"]["reports_rejected"] == 0
 
-    def test_batch_flush_is_charged_to_the_last_piece(self):
-        # k exceeds the piece count, so only the final piece flushes: one
-        # batch receipt (a sign and a verify) per distinct sender
-        res = swarm.run_scenario(
-            dataclasses.replace(BASE, policy=at.BatchPolicy(k=16)), FAST)
-        dur = BASE.piece_size / BASE.bandwidth * 1000.0
-        for name in leechers(res):
-            mine = [e for e in res.ground_truth if e["receiver"] == name]
-            senders = {e["sender"] for e in mine}
-            gap = mine[-1]["t_ms"] - mine[-2]["t_ms"]
-            assert gap == pytest.approx(dur + len(senders) * (FAST.sign_ms + FAST.verify_ms))
-        assert res.metrics["counts"]["receipts"] == sum(
-            len({e["sender"] for e in res.ground_truth if e["receiver"] == name})
-            for name in leechers(res))
+    @pytest.mark.parametrize("policy", [
+        at.PerPiecePolicy(), at.AdaptivePolicy(head=2, stride=3, tail=2),
+        at.BatchPolicy(k=3), at.BatchPolicy(k=16)], ids=repr)
+    def test_batch_flush_is_charged_to_the_last_piece(self, policy):
+        # every receipt (a sign and a verify) is charged to the transfer whose
+        # piece flushes it, mid-download or on the last piece; leechers start
+        # at t=0 and download one piece at a time
+        res = swarm.run_scenario(dataclasses.replace(BASE, policy=policy), FAST)
+        names = leechers(res)
+        last = sum(max(e["t_ms"] for e in res.ground_truth if e["receiver"] == name)
+                   for name in names)
+        busy = sum(e["bytes"] / BASE.bandwidth * 1000.0 for e in res.ground_truth)
+        receipts = res.metrics["counts"]["receipts"]
+        assert last == pytest.approx(busy + receipts * (FAST.sign_ms + FAST.verify_ms))
+        if policy.k > BASE.num_pieces:
+            # only the final piece flushes: one batch receipt per distinct sender
+            dur = BASE.piece_size / BASE.bandwidth * 1000.0
+            for name in names:
+                mine = [e for e in res.ground_truth if e["receiver"] == name]
+                senders = {e["sender"] for e in mine}
+                gap = mine[-1]["t_ms"] - mine[-2]["t_ms"]
+                assert gap == pytest.approx(
+                    dur + len(senders) * (FAST.sign_ms + FAST.verify_ms))
+            assert receipts == sum(
+                len({e["sender"] for e in res.ground_truth if e["receiver"] == name})
+                for name in names)
 
     def test_session_cert_is_charged_in_the_epoch_the_piece_lands(self):
         # at a one-second epoch most pieces land in a later epoch than the
