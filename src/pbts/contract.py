@@ -8,10 +8,11 @@ the referrer's *local* records — exactly one hop, so state two migrations
 back is deliberately unreachable.
 
 Every accepted operation is one entry of a JSON-lines log (a deployment, or
-a write of one or more records, applied all or none), appended and then
-applied by the very function that replays the log.  The log is the
-persistence format: a log cut at any entry boundary rebuilds the state after
-some whole operation, and corruption is reported with the first bad seq.
+a write of one or more records, applied all or none).  It travels as the
+payload its owner signed, and a live request is checked, not only applied,
+by the code that replays the log.  The log is the persistence format: a log
+cut at any entry boundary rebuilds the state after some whole operation,
+and corruption is reported with the first bad seq.
 
 The auth token is an attestation quote plus a session-scheme signature over
 the operation payload by the key bound into the quote's nonce field
@@ -22,7 +23,6 @@ check is rejected outright.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -99,7 +99,8 @@ class Chain:
             self._fh = None
 
 
-def _init_payload(iid: bytes, ref_addr: bytes | None, pk: bytes) -> bytes:
+def init_payload(iid: bytes, ref_addr: bytes | None, pk: bytes) -> bytes:
+    """The payload of a deployment, which the owner *pk* signs for ``sc_init``."""
     return sc.canonical_encode(
         [
             (sc.TAG_ATOM, b"sc-init"),
@@ -110,8 +111,10 @@ def _init_payload(iid: bytes, ref_addr: bytes | None, pk: bytes) -> bytes:
     )
 
 
-def _write_payload(addr: bytes, records) -> bytes:
-    """Raises TypeError or ValueError on a record the encoding cannot carry."""
+def write_payload(addr: bytes, records) -> bytes:
+    """The payload of a write of (uid, pk, up, down) *records*, which the
+    owner signs for ``sc_write``.  Raises TypeError or ValueError on a record
+    the encoding cannot carry."""
     fields = [(sc.TAG_ATOM, b"sc-write"), (sc.TAG_BYTES, addr)]
     for uid, pk, up, down in records:
         fields += [(sc.TAG_BYTES, uid), (sc.TAG_PUBKEY, pk),
@@ -119,11 +122,50 @@ def _write_payload(addr: bytes, records) -> bytes:
     return sc.canonical_encode(fields)
 
 
-@functools.lru_cache(maxsize=1)  # a live deployment derives, then applies
+_HEAD_TAGS = (sc.TAG_ATOM, sc.TAG_BYTES)
+_INIT_TAGS = _HEAD_TAGS + (sc.TAG_BYTES, sc.TAG_PUBKEY)
+_RECORD_TAGS = (sc.TAG_BYTES, sc.TAG_PUBKEY, sc.TAG_UINT, sc.TAG_UINT)
+
+
 def _derive_addr(nonce: int, init_payload: bytes) -> bytes:
     return sc.hash_data(
         sc.canonical_encode([(sc.TAG_UINT, sc.enc_uint(nonce)), (sc.TAG_BYTES, init_payload)])
     )[:ADDR_LEN]
+
+
+def _parse(chain: Chain, op: str, addr: bytes | None, payload: bytes):
+    """The one judge of a contract operation, live or replayed: what *op*
+    with the signed *payload* changes, as (contract, {uid: (pk, up, down)}).
+    An init yields its new contract at the factory's next address, which must
+    equal *addr* unless that is None (a live deployment); a write yields the
+    contract at *addr*.  Raises ValueError naming the first rule broken."""
+    fields = sc.canonical_decode(payload)
+    tags, values = zip(*fields) if fields else ((), ())
+    if op == "init" and tags == _INIT_TAGS and values[0] == b"sc-init":
+        _, iid, ref, pk = values
+        if ref and ref not in chain.contracts:
+            raise ValueError("unknown referrer")
+        new = _derive_addr(chain.nonce, payload)
+        if addr not in (None, new):
+            raise ValueError("address does not match factory nonce")
+        return Contract(addr=new, iid=iid, referrer=ref or None, owner_pk=pk), {}
+    n = (len(fields) - 2) // 4
+    if op != "write" or n < 1 or tags != _HEAD_TAGS + _RECORD_TAGS * n or values[0] != b"sc-write":
+        raise ValueError(f"bad {op!r} payload shape")
+    if values[1] != addr or addr not in chain.contracts:
+        raise ValueError("write to unknown contract")
+    records = {values[i]: (values[i + 1], sc.dec_uint(values[i + 2]), sc.dec_uint(values[i + 3]))
+               for i in range(2, len(values), 4)}
+    if len(records) != n:
+        raise ValueError("a uid named twice")
+    return chain.contracts[addr], records
+
+
+def _apply(chain: Chain, op: str, contract: Contract, records: dict) -> None:
+    if op == "init":
+        chain.contracts[contract.addr] = contract
+        chain.nonce += 1
+    contract.data.update(records)
 
 
 def _check_auth(chain: Chain, owner_pk: bytes, payload: bytes, auth: AuthToken) -> bool:
@@ -188,54 +230,32 @@ def _log_entries(path: str):
 
 def _replay(chain: Chain, path: str) -> None:
     for entry, op, addr, payload in _log_entries(path):
-        _apply_logged(chain, op, addr, payload, entry["seq"])
+        try:
+            contract, records = _parse(chain, op, addr, payload)
+        except ValueError as exc:
+            raise ChainLogCorrupt(entry["seq"], str(exc))
+        _apply(chain, op, contract, records)
         chain._seq = entry["seq"]
 
 
-def _apply_logged(chain: Chain, op: str, addr: bytes, payload: bytes, seq: int) -> None:
+def _submit(chain: Chain, op: str, addr: bytes | None, payload: bytes, auth: AuthToken):
+    """Log and apply a live operation that ``_parse`` accepts and its
+    owner's auth token covers; returns the contract's address, else None."""
     try:
-        fields = sc.canonical_decode(payload)
-    except ValueError:
-        raise ChainLogCorrupt(seq, "undecodable payload")
-    if op == "init":
-        if len(fields) != 4 or fields[0][1] != b"sc-init":
-            raise ChainLogCorrupt(seq, "bad init payload shape")
-        iid, ref, pk = fields[1][1], fields[2][1], fields[3][1]
-        want = _derive_addr(chain.nonce, payload)
-        if want != addr:
-            raise ChainLogCorrupt(seq, "address does not match factory nonce")
-        chain.contracts[addr] = Contract(
-            addr=addr, iid=iid, referrer=ref or None, owner_pk=pk
-        )
-        chain.nonce += 1
-    elif op == "write":
-        if len(fields) < 6 or len(fields) % 4 != 2 or fields[0][1] != b"sc-write":
-            raise ChainLogCorrupt(seq, "bad write payload shape")
-        if fields[1][1] != addr or addr not in chain.contracts:
-            raise ChainLogCorrupt(seq, "write to unknown contract")
-        try:
-            records = {fields[i][1]: (fields[i + 1][1], sc.dec_uint(fields[i + 2][1]),
-                                      sc.dec_uint(fields[i + 3][1]))
-                       for i in range(2, len(fields), 4)}
-        except ValueError:
-            raise ChainLogCorrupt(seq, "bad counter encoding")
-        chain.contracts[addr].data.update(records)
-    else:
-        raise ChainLogCorrupt(seq, f"unknown op {op!r}")
+        contract, records = _parse(chain, op, addr, payload)
+    except (TypeError, ValueError):  # TypeError: a payload that is not bytes
+        return None
+    if not _check_auth(chain, contract.owner_pk, payload, auth):
+        return None
+    _append_log(chain, op, contract.addr, payload, auth)
+    _apply(chain, op, contract, records)
+    return contract.addr
 
 
-def sc_init(chain: Chain, iid: bytes, ref_addr: bytes | None, pk: bytes, auth: AuthToken):
-    """Deploy a reputation contract; returns its address, or None if the auth
-    token does not prove an attested owner bound to *pk*."""
-    if ref_addr is not None and ref_addr not in chain.contracts:
-        return None
-    payload = _init_payload(iid, ref_addr, pk)
-    if not _check_auth(chain, pk, payload, auth):
-        return None
-    addr = _derive_addr(chain.nonce, payload)
-    _append_log(chain, "init", addr, payload, auth)
-    _apply_logged(chain, "init", addr, payload, chain._seq)
-    return addr
+def sc_init(chain: Chain, payload: bytes, auth: AuthToken):
+    """Deploy the contract an ``init_payload`` describes; its address, or None
+    if the payload is refused or *auth* proves no attested owner of its key."""
+    return _submit(chain, "init", None, payload, auth)
 
 
 def sc_read(chain: Chain, addr: bytes, uid: bytes):
@@ -244,34 +264,16 @@ def sc_read(chain: Chain, addr: bytes, uid: bytes):
         contract = chain.contracts[addr]
     except KeyError:
         raise ChainError(f"unknown contract {addr.hex()}")
-    if uid in contract.data:
-        pk, up, down = contract.data[uid]
-        return ReputationRecord(uid=uid, pk=pk, up=up, down=down)
-    if contract.referrer is not None:
-        parent = chain.contracts.get(contract.referrer)
-        if parent is not None and uid in parent.data:
-            pk, up, down = parent.data[uid]
-            return ReputationRecord(uid=uid, pk=pk, up=up, down=down)
+    for c in (contract, chain.contracts.get(contract.referrer)):
+        if c is not None and uid in c.data:
+            return ReputationRecord(uid, *c.data[uid])
     return None
 
 
-def sc_write(chain: Chain, addr: bytes, records, auth: AuthToken) -> bool:
-    """Owner-only write of (uid, pk, up, down) records, all or none; False on any failure."""
-    contract = chain.contracts.get(addr)
-    if contract is None:
-        return False
-    try:
-        records = [(uid, pk, int(up), int(down)) for uid, pk, up, down in records]
-        payload = _write_payload(addr, records)
-        if not records or len({bytes(r[0]) for r in records}) != len(records):
-            return False
-    except (TypeError, ValueError):
-        return False
-    if not _check_auth(chain, contract.owner_pk, payload, auth):
-        return False
-    _append_log(chain, "write", addr, payload, auth)
-    _apply_logged(chain, "write", addr, payload, chain._seq)
-    return True
+def sc_write(chain: Chain, addr: bytes, payload: bytes, auth: AuthToken) -> bool:
+    """Owner-only write of the records ``write_payload`` *payload* carries,
+    all or none; False on any failure."""
+    return _submit(chain, "write", addr, payload, auth) is not None
 
 
 def get_referrer(chain: Chain, addr: bytes):

@@ -27,9 +27,6 @@ from . import bls12381 as _bls
 from . import secp256k1 as _ec
 
 SIG_LEN = 96
-PK_LEN = 48
-SESSION_SIG_LEN = 64
-SESSION_PK_LEN = 33
 DIGEST_LEN = 32
 
 # field type tags for canonical_encode
@@ -154,6 +151,8 @@ def verify(pk: bytes, message: bytes, sig: bytes) -> bool:
     checks are one code path.  Results are memoized — many simulated nodes
     re-checking the same announce record costs one pairing.
     """
+    if not all(isinstance(x, (bytes, bytearray, memoryview)) for x in (pk, message, sig)):
+        return False
     return _verify_uncached(bytes(pk), bytes(message), bytes(sig))
 
 

@@ -20,7 +20,6 @@ from statistics import median
 from .. import attestation as at
 from .. import sigcrypto as sc
 
-REF_KEYGEN_MS = 7.54
 REF_SIGN_MS = 134.19
 REF_VERIFY_MS = 340.92
 REF_AGG_VERIFY_MS = {10: 1293.18, 25: 3959.54, 50: 6535.18, 100: 14230.40}

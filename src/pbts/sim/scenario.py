@@ -45,11 +45,11 @@ class Scenario:
         if self.epoch_window <= 0 or self.epoch_delta < 0:
             raise ValueError("bad epoch parameters")
         for iv in self.tracker_down:
-            a, b = iv
             # outages start strictly after t=0 so the initial announce round
             # always reaches a live tracker
-            if not 0 < a < b:
-                raise ValueError(f"bad outage interval {iv!r}")
+            if len(iv) != 2 or not 0 < iv[0] < iv[1]:
+                raise ValueError(f"bad outage interval {iv!r}: tracker_down holds "
+                                 "(start_ms, end_ms) pairs, 0 < start < end")
         for a, b in zip(self.tracker_down, self.tracker_down[1:]):
             if a[1] > b[0]:
                 raise ValueError("outage intervals must be sorted and disjoint")

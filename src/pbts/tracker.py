@@ -251,10 +251,8 @@ class Tracker:
             return None
         auth = encl.derive_contract_auth_keys(root)
         quote = encl.attest_quote(world, m, ct.auth_nonce_for(auth.pk))
-        init_payload = ct._init_payload(pp.iid, ref_addr, auth.pk)
-        addr = ct.sc_init(
-            chain, pp.iid, ref_addr, auth.pk, ct.make_auth(quote, auth.sk, init_payload)
-        )
+        payload = ct.init_payload(pp.iid, ref_addr, auth.pk)
+        addr = ct.sc_init(chain, payload, ct.make_auth(quote, auth.sk, payload))
         if addr is None:
             return None
         return cls(
@@ -273,13 +271,12 @@ class Tracker:
     def _write(self, uid: bytes, pk: bytes, up: int, down: int, *more) -> bool:
         """One attested contract write of (uid, pk, up, down) and of each
         further such record in *more*: all of them land, or none does."""
-        records = [(uid, pk, up, down), *more]
         try:
-            payload = ct._write_payload(self.addr, records)
+            payload = ct.write_payload(self.addr, [(uid, pk, up, down), *more])
         except (TypeError, ValueError):
-            return False  # a record the contract cannot carry: a counter >= 2^64
+            return False  # a record no payload carries: a counter >= 2^64 or not an int
         auth = ct.make_auth(self.quote, self.auth.sk, payload)
-        return ct.sc_write(self.chain, self.addr, records, auth)
+        return ct.sc_write(self.chain, self.addr, payload, auth)
 
     # -- user-facing operations ---------------------------------------------
 
@@ -287,7 +284,7 @@ class Tracker:
         """The registration signature also serves as proof of possession of
         the announced key, which is what makes aggregate report verification
         safe against rogue-key composition."""
-        if not sc.verify(pk, register_msg(self.pp.iid, uid), sig):
+        if not isinstance(uid, bytes) or not sc.verify(pk, register_msg(self.pp.iid, uid), sig):
             return False
         if ct.sc_read(self.chain, self.addr, uid) is not None:
             return False
@@ -299,7 +296,8 @@ class Tracker:
         most ``DEFAULT_SAMPLE_CAP`` other peers as (pk, ip, port), or [] when
         the announce is refused.  Only "started" is gated on reputation, so a
         peer below the threshold can still leave or finish."""
-        if event not in EVENTS:
+        if (event not in EVENTS or not all(isinstance(x, bytes) for x in (uid, pk, tid))
+                or not isinstance(ip, str) or type(port) is not int or not 0 < port < 1 << 16):
             return []
         record = self._resolve(pk, uid)
         if record is None or not sc.verify(pk, announce_msg(uid, tid, event), sig):

@@ -245,9 +245,8 @@ def test_chain_log_round_trip_at_scale(tmp_path):
     quote = encl.attest_quote(world, encl.measure(PROG, CFG),
                               ct.auth_nonce_for(auth.pk))
     def deploy(iid, ref):
-        payload = ct._init_payload(iid, ref, auth.pk)
-        new = ct.sc_init(chain, iid, ref, auth.pk,
-                         ct.make_auth(quote, auth.sk, payload))
+        payload = ct.init_payload(iid, ref, auth.pk)
+        new = ct.sc_init(chain, payload, ct.make_auth(quote, auth.sk, payload))
         assert new is not None
         return new
 
@@ -258,17 +257,16 @@ def test_chain_log_round_trip_at_scale(tmp_path):
     # share one), with an occasional fresh contract deployment thrown in
     combos = []
     for i in range(64):
-        uid, value = b"u%02d" % i, (b"pk-%02d" % i, 1000 + i, i)
-        payload = ct._write_payload(addr, [(uid, *value)])
-        combos.append((uid, value, ct.make_auth(quote, auth.sk, payload)))
+        payload = ct.write_payload(addr, [(b"u%02d" % i, b"pk-%02d" % i, 1000 + i, i)])
+        combos.append((payload, ct.make_auth(quote, auth.sk, payload)))
     rng = random.Random(7_001)
     ops = 10_000
     for j in range(ops - 1):
         if rng.random() < 0.002:
             deploy(rng.randbytes(16), rng.choice([None, addr]))
         else:
-            uid, value, token = rng.choice(combos)
-            assert ct.sc_write(chain, addr, [(uid, *value)], token)
+            payload, token = rng.choice(combos)
+            assert ct.sc_write(chain, addr, payload, token)
     state, digest = ct.serialize_state(chain), ct.state_digest(chain)
     chain.close()
 

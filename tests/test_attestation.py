@@ -204,8 +204,8 @@ class TestReceipts:
             tr.register_msg(b"iid", b"uid"),
             tr.announce_msg(b"uid", ih, "started"),
             dht.announce_record_msg(ih, pk, "10.0.0.1", 6881),
-            ct._init_payload(b"iid", None, pk),
-            ct._write_payload(b"addr", [(b"uid", pk, 1, 2)]),
+            ct.init_payload(b"iid", None, pk),
+            ct.write_payload(b"addr", [(b"uid", pk, 1, 2)]),
             encl._quote_msg(h, b"nonce"),
         ]
         heads = [sc.canonical_decode(m)[0] for m in msgs]

@@ -1,11 +1,13 @@
-"""Every function, class and method in ``src/pbts`` has a caller in the
-program: the package itself, ``scripts`` or ``perfbench``.  A definition that
-only tests reach is code with no caller, and goes.
+"""Every function, class, method and module-level assigned name in
+``src/pbts`` has a caller in the program: the package itself, ``scripts`` or
+``perfbench``.  A definition that only tests reach is code with no caller, and
+goes.
 
-A reference is a name, an attribute, or a string constant (or any dotted part
-of one), since the benchmark's tracer names its targets as strings such as
-``"Tracker.report_batch"``.  Dunder methods are called by the language and are
-not checked."""
+A reference is a name or an attribute that is read (an assignment reads
+nothing), or a string constant (or any dotted part of one), since the
+benchmark's tracer names its targets as strings such as
+``"Tracker.report_batch"``.  Dunder names are read by the language and are not
+checked."""
 
 import ast
 from pathlib import Path
@@ -26,6 +28,12 @@ def _definitions():
     for path, tree in _trees(PACKAGE):
         where = path.relative_to(ROOT)
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                            yield f"{where}:{name.id}", name.id
             if not isinstance(node, defs):
                 continue
             yield f"{where}:{node.name}", node.name
@@ -40,9 +48,9 @@ def _references() -> set:
     names = set()
     for _, tree in _trees(*CALLERS):
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.update(node.value.split("."))

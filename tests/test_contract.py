@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbts import contract as ct
 from pbts import enclave as encl
@@ -40,16 +42,16 @@ def env(log_path):
 
 
 def deploy(chain, auth_kp, quote, ref=None, iid=IID):
-    payload = ct._init_payload(iid, ref, auth_kp.pk)
-    addr = ct.sc_init(chain, iid, ref, auth_kp.pk, ct.make_auth(quote, auth_kp.sk, payload))
+    payload = ct.init_payload(iid, ref, auth_kp.pk)
+    addr = ct.sc_init(chain, payload, ct.make_auth(quote, auth_kp.sk, payload))
     assert addr is not None and len(addr) == ct.ADDR_LEN
     return addr
 
 
 def write(chain, addr, auth_kp, quote, *records):
     """One owner-signed write of (uid, pk, up, down) *records*."""
-    payload = ct._write_payload(addr, records)
-    return ct.sc_write(chain, addr, records, ct.make_auth(quote, auth_kp.sk, payload))
+    payload = ct.write_payload(addr, records)
+    return ct.sc_write(chain, addr, payload, ct.make_auth(quote, auth_kp.sk, payload))
 
 
 def test_deploy_and_read_write(env):
@@ -89,9 +91,8 @@ def test_referrer_one_hop_only(env):
 
 def test_unknown_referrer_rejected(env):
     _, chain, auth_kp, quote = env
-    payload = ct._init_payload(IID, b"\x01" * 20, auth_kp.pk)
-    auth = ct.make_auth(quote, auth_kp.sk, payload)
-    assert ct.sc_init(chain, IID, b"\x01" * 20, auth_kp.pk, auth) is None
+    payload = ct.init_payload(IID, b"\x01" * 20, auth_kp.pk)
+    assert ct.sc_init(chain, payload, ct.make_auth(quote, auth_kp.sk, payload)) is None
 
 
 def test_unknown_contract(env):
@@ -106,9 +107,8 @@ class TestAuth:
         world, chain, auth_kp, quote = env
         addr = deploy(chain, auth_kp, quote)
         rogue = sc.session_keygen(b"\x13" * 32)
-        payload = ct._write_payload(addr, [(b"u", b"pk", 1, 0)])
-        auth = ct.make_auth(quote, rogue.sk, payload)
-        assert not ct.sc_write(chain, addr, [(b"u", b"pk", 1, 0)], auth)
+        payload = ct.write_payload(addr, [(b"u", b"pk", 1, 0)])
+        assert not ct.sc_write(chain, addr, payload, ct.make_auth(quote, rogue.sk, payload))
 
     def test_quote_not_bound_to_owner_key_rejected(self, env):
         world, chain, auth_kp, quote = env
@@ -117,41 +117,45 @@ class TestAuth:
         m = encl.measure(PROG, CFG)
         other = sc.session_keygen(b"\x14" * 32)
         stray = encl.attest_quote(world, m, ct.auth_nonce_for(other.pk))
-        payload = ct._write_payload(addr, [(b"u", b"pk", 1, 0)])
-        auth = ct.make_auth(stray, auth_kp.sk, payload)
-        assert not ct.sc_write(chain, addr, [(b"u", b"pk", 1, 0)], auth)
+        payload = ct.write_payload(addr, [(b"u", b"pk", 1, 0)])
+        assert not ct.sc_write(chain, addr, payload, ct.make_auth(stray, auth_kp.sk, payload))
 
     def test_unallowlisted_enclave_rejected(self, env):
         world, chain, auth_kp, quote = env
         rogue_m = encl.measure(b"rogue", CFG)
         rogue_quote = encl.attest_quote(world, rogue_m, ct.auth_nonce_for(auth_kp.pk))
-        payload = ct._init_payload(IID, None, auth_kp.pk)
-        auth = ct.make_auth(rogue_quote, auth_kp.sk, payload)
-        assert ct.sc_init(chain, IID, None, auth_kp.pk, auth) is None
+        payload = ct.init_payload(IID, None, auth_kp.pk)
+        assert ct.sc_init(chain, payload, ct.make_auth(rogue_quote, auth_kp.sk, payload)) is None
 
     def test_auth_not_transferable_across_payloads(self, env):
         _, chain, auth_kp, quote = env
         addr = deploy(chain, auth_kp, quote)
-        payload = ct._write_payload(addr, [(b"u", b"pk", 1, 0)])
+        payload = ct.write_payload(addr, [(b"u", b"pk", 1, 0)])
         auth = ct.make_auth(quote, auth_kp.sk, payload)
-        assert ct.sc_write(chain, addr, [(b"u", b"pk", 1, 0)], auth)
+        assert ct.sc_write(chain, addr, payload, auth)
         # same token replayed for a different value must fail
-        assert not ct.sc_write(chain, addr, [(b"u", b"pk", 99, 0)], auth)
+        assert not ct.sc_write(chain, addr, ct.write_payload(addr, [(b"u", b"pk", 99, 0)]), auth)
 
-    def test_negative_values_rejected(self, env):
-        # value validation precedes auth, so any token will do here
-        _, chain, auth_kp, quote = env
-        addr = deploy(chain, auth_kp, quote)
-        token = ct.make_auth(quote, auth_kp.sk, b"irrelevant")
-        assert not ct.sc_write(chain, addr, [(b"u", b"pk", -1, 0)], token)
-        assert not ct.sc_write(chain, addr, [(b"u", b"pk", 0, -5)], token)
-        assert not ct.sc_write(chain, addr, [(b"u", "not-bytes", 1, 0)], token)
-        assert not ct.sc_write(chain, addr, [(b"u", b"pk", 1)], token)
+    def test_negative_values_rejected(self):
+        # no payload carries these records, so none reaches sc_write; the
+        # tracker's writer refuses them (test_tracker.py::test_write_refuses_*)
+        for record in [(b"u", b"pk", -1, 0), (b"u", b"pk", 0, -5),
+                       (b"u", "not-bytes", 1, 0), (b"u", b"pk", 1)]:
+            with pytest.raises((TypeError, ValueError)):
+                ct.write_payload(b"\x07" * ct.ADDR_LEN, [record])
 
 
 def log_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def append_entry(path, seq, op, addr, payload):
+    """Append a log entry as the chain would, with a dummy auth fingerprint."""
+    entry = {"seq": seq, "op": op, "addr": addr.hex(), "payload": payload.hex(),
+             "auth_fp": "00"}
+    with open(path, "a") as fh:
+        fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 class TestAtomicWrite:
@@ -161,6 +165,9 @@ class TestAtomicWrite:
         "counter_past_uint64": (b"u2", b"pk-2", 1 << 64, 0),
         "pk_not_bytes": (b"u2", "pk-2", 1, 0),
         "uid_not_bytes": ("u2", b"pk-2", 1, 0),
+        "counter_not_int": (b"u2", b"pk-2", "700", 0),
+        "counter_float": (b"u2", b"pk-2", 700.0, 0),
+        "counter_bool": (b"u2", b"pk-2", True, 0),
         "repeated_uid": (b"u0", b"pk-0", 7, 7),
     }
 
@@ -175,23 +182,25 @@ class TestAtomicWrite:
     def test_single_record_payload_unchanged(self, env):
         # the one-record write encodes as it always has, so old logs replay
         addr = b"\x07" * ct.ADDR_LEN
-        assert ct._write_payload(addr, [(b"u", b"pk", 3, 4)]) == sc.canonical_encode([
+        assert ct.write_payload(addr, [(b"u", b"pk", 3, 4)]) == sc.canonical_encode([
             (sc.TAG_ATOM, b"sc-write"), (sc.TAG_BYTES, addr), (sc.TAG_BYTES, b"u"),
             (sc.TAG_PUBKEY, b"pk"), (sc.TAG_UINT, sc.enc_uint(3)),
             (sc.TAG_UINT, sc.enc_uint(4))])
 
     @pytest.mark.parametrize("bad", sorted(BAD))
     def test_one_bad_record_refuses_the_whole_write(self, env, log_path, bad):
-        # the token covers the good records, or all of them where they encode
+        # a record no payload carries never encodes (the tracker's writer then
+        # refuses: test_tracker.py::test_write_refuses_*); a repeated uid
+        # encodes, and the contract refuses it though its owner signed it
         _, chain, auth_kp, quote = env
         addr = deploy(chain, auth_kp, quote)
         state, log = ct.serialize_state(chain), log_bytes(log_path)
         records = self.GOOD + [self.BAD[bad]]
-        try:
-            payload = ct._write_payload(addr, records)
-        except (TypeError, ValueError):
-            payload = ct._write_payload(addr, self.GOOD)
-        assert not ct.sc_write(chain, addr, records, ct.make_auth(quote, auth_kp.sk, payload))
+        if bad == "repeated_uid":
+            assert not write(chain, addr, auth_kp, quote, *records)
+        else:
+            with pytest.raises((TypeError, ValueError)):
+                ct.write_payload(addr, records)
         assert ct.serialize_state(chain) == state and log_bytes(log_path) == log
 
     def test_empty_write_refused(self, env, log_path):
@@ -206,11 +215,11 @@ class TestAtomicWrite:
         addr = deploy(chain, auth_kp, quote)
         state, log = ct.serialize_state(chain), log_bytes(log_path)
         rogue = sc.session_keygen(b"\x16" * 32)
-        payload = ct._write_payload(addr, self.GOOD)
-        assert not ct.sc_write(chain, addr, self.GOOD, ct.make_auth(quote, rogue.sk, payload))
+        payload = ct.write_payload(addr, self.GOOD)
+        assert not ct.sc_write(chain, addr, payload, ct.make_auth(quote, rogue.sk, payload))
         # nor does a token for one record carry the other
-        one = ct.make_auth(quote, auth_kp.sk, ct._write_payload(addr, self.GOOD[:1]))
-        assert not ct.sc_write(chain, addr, self.GOOD, one)
+        one = ct.make_auth(quote, auth_kp.sk, ct.write_payload(addr, self.GOOD[:1]))
+        assert not ct.sc_write(chain, addr, payload, one)
         assert ct.serialize_state(chain) == state and log_bytes(log_path) == log
 
     @pytest.mark.parametrize("n_fields", [2, 3, 5, 7, 9])
@@ -219,14 +228,95 @@ class TestAtomicWrite:
         addr = deploy(chain, auth_kp, quote)
         assert write(chain, addr, auth_kp, quote, *self.GOOD)
         chain.close()
-        fields = sc.canonical_decode(ct._write_payload(addr, self.GOOD))[:n_fields]
-        entry = {"seq": 3, "op": "write", "addr": addr.hex(),
-                 "payload": sc.canonical_encode(fields).hex(), "auth_fp": "00"}
-        with open(log_path, "a") as fh:
-            fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+        fields = sc.canonical_decode(ct.write_payload(addr, self.GOOD))[:n_fields]
+        append_entry(log_path, 3, "write", addr, sc.canonical_encode(fields))
         with pytest.raises(ct.ChainLogCorrupt) as exc:
             ct.chain_new(world.allowlist, world.hw_root_pk, path=log_path)
         assert exc.value.seq == 3
+
+
+def _good_fields(addr):
+    return sc.canonical_decode(ct.write_payload(addr, TestAtomicWrite.GOOD))
+
+
+# (op, payload built from the contract's address and its owner's key) that
+# the one parser refuses, whether the owner sends it live or the log holds it
+MALFORMED = {
+    "truncated": ("write", lambda addr, pk: ct.write_payload(addr, TestAtomicWrite.GOOD)[:-1]),
+    "wrong_atom": ("write", lambda addr, pk: sc.canonical_encode(
+        [(sc.TAG_ATOM, b"sc-init")] + _good_fields(addr)[1:])),
+    "wrong_addr_field": ("write", lambda addr, pk: ct.write_payload(
+        b"\x09" * ct.ADDR_LEN, TestAtomicWrite.GOOD)),
+    "partial_record": ("write", lambda addr, pk: sc.canonical_encode(_good_fields(addr)[:-1])),
+    "short_counter": ("write", lambda addr, pk: sc.canonical_encode(
+        _good_fields(addr)[:-1] + [(sc.TAG_UINT, b"\x00" * 7)])),
+    "counter_not_tagged_uint": ("write", lambda addr, pk: sc.canonical_encode(
+        _good_fields(addr)[:-1] + [(sc.TAG_BYTES, b"\x00" * 8)])),
+    "repeated_uid": ("write", lambda addr, pk: ct.write_payload(
+        addr, TestAtomicWrite.GOOD + TestAtomicWrite.GOOD[:1])),
+    "unknown_referrer": ("init", lambda addr, pk: ct.init_payload(IID, b"\x01" * ct.ADDR_LEN, pk)),
+}
+
+
+class TestOneParser:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_refused_live(self, env, log_path, case):
+        _, chain, auth_kp, quote = env
+        addr = deploy(chain, auth_kp, quote)
+        op, build = MALFORMED[case]
+        payload = build(addr, auth_kp.pk)
+        auth = ct.make_auth(quote, auth_kp.sk, payload)  # the owner signs, so the parser decides
+        state, log = ct.serialize_state(chain), log_bytes(log_path)
+        if op == "init":
+            assert ct.sc_init(chain, payload, auth) is None
+        else:
+            assert ct.sc_write(chain, addr, payload, auth) is False
+        assert ct.serialize_state(chain) == state and log_bytes(log_path) == log
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_refused_on_replay(self, env, log_path, case):
+        world, chain, auth_kp, quote = env
+        addr = deploy(chain, auth_kp, quote)
+        assert write(chain, addr, auth_kp, quote, *TestAtomicWrite.GOOD)
+        chain.close()
+        op, build = MALFORMED[case]
+        payload = build(addr, auth_kp.pk)
+        # an init entry names the address the factory derives for it at nonce 1
+        append_entry(log_path, 3, op, ct._derive_addr(1, payload) if op == "init" else addr,
+                     payload)
+        with pytest.raises(ct.ChainLogCorrupt) as exc:
+            ct.chain_new(world.allowlist, world.hw_root_pk, path=log_path)
+        assert exc.value.seq == 3
+
+    def test_payload_not_bytes_refused(self, env):
+        _, chain, auth_kp, quote = env
+        addr = deploy(chain, auth_kp, quote)
+        payload = ct.write_payload(addr, TestAtomicWrite.GOOD)
+        auth = ct.make_auth(quote, auth_kp.sk, payload)
+        for bad in (bytearray(payload), payload.hex(), None):
+            assert ct.sc_write(chain, addr, bad, auth) is False
+
+    def test_any_owner_signed_bytes_get_a_bool(self, env):
+        _, chain, auth_kp, quote = env
+        addr = deploy(chain, auth_kp, quote)
+        head = [(sc.TAG_ATOM, b"sc-write"), (sc.TAG_BYTES, addr)]
+        field = st.tuples(st.sampled_from([sc.TAG_ATOM, sc.TAG_BYTES, sc.TAG_PUBKEY, sc.TAG_UINT]),
+                          st.binary(max_size=9))
+        counter = st.binary(min_size=8, max_size=8) | st.binary(max_size=9)
+        record = st.tuples(st.binary(max_size=2), st.binary(max_size=2), counter, counter).map(
+            lambda r: list(zip([sc.TAG_BYTES, sc.TAG_PUBKEY, sc.TAG_UINT, sc.TAG_UINT], r)))
+        payloads = st.one_of(
+            st.binary(max_size=64),
+            st.lists(field, max_size=10).map(lambda fs: sc.canonical_encode(head + fs)),
+            st.lists(record, max_size=4).map(lambda rs: sc.canonical_encode(head + sum(rs, []))))
+
+        @settings(max_examples=200, deadline=None)
+        @given(payloads)
+        def check(payload):
+            auth = ct.make_auth(quote, auth_kp.sk, payload)
+            assert type(ct.sc_write(chain, addr, payload, auth)) is bool
+
+        check()
 
 
 class TestPersistence:
@@ -319,9 +409,8 @@ def test_state_digest_tracks_content(env):
     assert d0 != d1
     # failed write leaves the digest untouched
     rogue = sc.session_keygen(b"\x15" * 32)
-    payload = ct._write_payload(addr, [(b"u", b"pk", 2, 2)])
-    assert not ct.sc_write(chain, addr, [(b"u", b"pk", 2, 2)],
-                           ct.make_auth(env[3], rogue.sk, payload))
+    payload = ct.write_payload(addr, [(b"u", b"pk", 2, 2)])
+    assert not ct.sc_write(chain, addr, payload, ct.make_auth(env[3], rogue.sk, payload))
     assert ct.state_digest(chain) == d1
 
 

@@ -95,7 +95,7 @@ class TestLongTermScheme:
 
     def test_sizes(self):
         kp = sc.keygen(b"\x07" * 32)
-        assert len(kp.pk) == sc.PK_LEN
+        assert len(kp.pk) == 48
         assert len(sc.sign(kp.sk, b"m")) == sc.SIG_LEN
 
     def test_sign_verify_loop(self):
@@ -114,6 +114,12 @@ class TestLongTermScheme:
         assert not sc.verify(kp.pk, b"m", b"junk")
         assert not sc.verify(b"not-a-key", b"m", sc.sign(kp.sk, b"m"))
         assert not sc.verify(kp.pk, b"m", b"")
+        # an argument that is not bytes-like is malformed too, not converted
+        sig = sc.sign(kp.sk, b"m")
+        for args in [(None, b"m", sig), ([1], b"m", sig), (kp.pk, None, sig),
+                     (kp.pk, b"m", None), (kp.pk, b"m", list(sig)), (kp.pk, b"m", 96)]:
+            assert sc.verify(*args) is False
+        assert sc.verify(bytearray(kp.pk), memoryview(b"m"), sig)
 
     def test_bit_flip_rejected(self):
         kp = sc.keygen(b"\x06" * 32)
@@ -719,7 +725,7 @@ class TestSessionScheme:
         for i in range(1000):
             msg = b"s-%d" % i
             sig = sc.session_sign(kp.sk, msg)
-            assert len(sig) == sc.SESSION_SIG_LEN
+            assert len(sig) == 64
             assert sc.session_verify(kp.pk, msg, sig)
         sig = sc.session_sign(kp.sk, b"fixed")
         assert not sc.session_verify(other.pk, b"fixed", sig)

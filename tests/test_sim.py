@@ -200,9 +200,12 @@ class TestScenarioJson:
         {"policy": 3},
         {"policy": {"k": 2}},
         [],
+        {"tracker_down": [[10]]},
     ])
     def test_wrong_json_type_refused(self, doc):
-        with pytest.raises(ValueError):
+        # an outage that is not a pair is refused by the field's name
+        not_a_pair = doc in ({"tracker_down": [[10, 20, 30]]}, {"tracker_down": [[10]]})
+        with pytest.raises(ValueError, match="tracker_down" if not_a_pair else None):
             scn.scenario_from_json(doc)
 
     def test_integral_bandwidth_accepted(self):

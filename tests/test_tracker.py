@@ -175,6 +175,54 @@ class TestAnnounce:
         assert kp.pk not in {pk for pk, _, _ in sample}
 
 
+# a register or announce field of the wrong type or range: the fields it
+# changes in a well-formed request
+MALFORMED_PEER_INPUT = {
+    "register_uid_none": ("register", lambda a: {"uid": None}),
+    "register_uid_list": ("register", lambda a: {"uid": [1]}),
+    "register_pk_none": ("register", lambda a: {"pk": None}),
+    "register_sig_none": ("register", lambda a: {"sig": None}),
+    "announce_uid_list": ("announce", lambda a: {"uid": [1]}),
+    "announce_pk_bytearray": ("announce", lambda a: {"pk": bytearray(a["pk"])}),
+    "announce_tid_none": ("announce", lambda a: {"tid": None}),
+    "announce_tid_list": ("announce", lambda a: {"tid": [1]}),
+    "announce_sig_none": ("announce", lambda a: {"sig": None}),
+    "announce_ip_int_port_str": ("announce", lambda a: {"ip": 5, "port": "x"}),
+    "announce_port_zero": ("announce", lambda a: {"port": 0}),
+    "announce_port_past_65535": ("announce", lambda a: {"port": 1 << 16}),
+    "announce_port_bool": ("announce", lambda a: {"port": True}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PEER_INPUT))
+def test_malformed_peer_input_refused(env, case):
+    call, change = MALFORMED_PEER_INPUT[case]
+    if call == "register":
+        kp = sc.keygen(b"\x4b" * 32)
+        args = dict(uid=b"fresh", pk=kp.pk, sig=env.reg_sig(kp, b"fresh"))
+    else:
+        uid, kp = env.users[0]
+        args = dict(uid=uid, pk=kp.pk, sig=env.ann_sig(kp, uid, "started"),
+                    tid=env.meta.infohash, event="started", ip="1.2.3.4", port=100)
+    digest, swarms = ct.state_digest(env.chain), dict(env.t.swarms)
+    assert getattr(env.t, call)(**{**args, **change(args)}) == ([] if call == "announce" else False)
+    assert ct.state_digest(env.chain) == digest and env.t.swarms == swarms
+    # the same request, well formed, is accepted
+    assert getattr(env.t, call)(**args) or kp.pk in env.t.swarms[env.meta.infohash]
+
+
+@pytest.mark.parametrize("record", [
+    (b"u9", b"pk", -1, 0), (b"u9", b"pk", 0, -5), (b"u9", b"pk", 1 << 64, 0),
+    (b"u9", "not-bytes", 1, 0), ("u9", b"pk", 1, 0), (b"u9", b"pk", "700", 0),
+    (b"u9", b"pk", 700.0, 0), (b"u9", b"pk", True, 0), (b"u9", b"pk", 1)])
+def test_write_refuses_a_record_no_payload_carries(env, record):
+    # the whole write, the well-formed first record included
+    uid, kp = env.users[0]
+    digest = ct.state_digest(env.chain)
+    assert not env.t._write(uid, kp.pk, 1, 1, record)
+    assert ct.state_digest(env.chain) == digest
+
+
 class TestReport:
     def test_happy_path_credits_both_sides(self, env):
         r = env.receipt(recv_i=1, send_i=0, piece=2)
